@@ -8,7 +8,7 @@ PYTEST := PYTHONPATH=src python -m pytest
 # coverage grows, never lower it to admit a regression.
 COVERAGE_FLOOR := 90
 
-.PHONY: check lint test coverage bench-smoke bench bench-async bench-sharded bench-socket bench-check bench-baseline bench-paper bench-paper-baseline profile-paper fuzz-smoke
+.PHONY: check lint test coverage bench-smoke bench bench-async bench-sharded bench-socket bench-check bench-baseline bench-paper bench-paper-baseline profile-paper fuzz-smoke perf perf-compare
 
 check: lint test
 
@@ -100,3 +100,23 @@ fuzz-smoke:
 		--fuzz-budget 12 --fuzz-seeds 0:2 --fuzz-transports async \
 		--fuzz-shards 1,4 --join-rate 0.01 --fail-rate 0.01 --fuzz-full-scan \
 		--verify-invariants --quiet --output-dir /tmp/fuzz-smoke
+
+# The repository's benchmark (BENCHMARK.json; see perf/README.md): every
+# workload, one timed and one traced run each.  PERF_FLAGS passes switches
+# through, e.g.  make perf PERF_FLAGS="--workload membership_storm --seeds 10"
+perf:
+	python3 perf/run.py $(PERF_FLAGS)
+
+# This tree against a base revision, seed-paired (perf/README.md, "Comparing
+# two commits"): the base is git-archived into a temporary directory with this
+# tree's perf/ and BENCHMARK.json copied over it, PAIRS pairs of runs alternate
+# which side goes first on one fresh seed a pair, and every end-to-end metric
+# gets its medians, quartiles, pairs won and a gain / within bound /
+# unresolved / REGRESSION verdict.  WORKLOAD empty = all seven (~50 min).
+#   make perf-compare BASE=HEAD~1 WORKLOAD=membership_storm PAIRS=10
+BASE ?= HEAD
+WORKLOAD ?=
+PAIRS ?= 10
+perf-compare:
+	python3 tools/perf_compare.py --base $(BASE) --pairs $(PAIRS) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import inspect
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from repro.core.client import ClashClient
@@ -57,6 +58,10 @@ from repro.util.rng import RandomStream
 from repro.util.validation import check_positive, check_power_of_two, check_type
 
 __all__ = ["AwaitableHandler", "ClashSystem", "SplitOutcome", "MergeOutcome"]
+
+RING_POSITION_MEMO_LIMIT = 1 << 16
+"""Entries kept in a deployment's ring-position memo before it is cleared
+(correctness never depends on a hit: a miss re-hashes the virtual key)."""
 
 
 class AwaitableHandler:
@@ -247,7 +252,21 @@ class ClashSystem:
         self._servers: dict[str, ClashServer] = {}
         for name in server_names:
             self._servers[name] = self._make_server(name)
+        # The server names in sorted order, kept current by insort/bisect on
+        # join and failure so churn drivers draw victims without re-sorting.
+        self._sorted_names: list[str] = sorted(server_names)
         self._group_owner: dict[KeyGroup, str] = {}
+        # Ring-position memo for the join handoff: virtual-key value → the
+        # hash-space point f(virtual key).  One memo serves every shard ring,
+        # which is only sound while all rings hash identically.
+        rings = self._router.rings()
+        self._position_hash = rings[0].hash_function
+        assert all(
+            (ring.hash_function.hash_bits, ring.hash_function.salt)
+            == (self._position_hash.hash_bits, self._position_hash.salt)
+            for ring in rings
+        ), "shard rings must share one hash function"
+        self._ring_positions: dict[int, int] = {}
         # Maintained indexes over the ownership registry.  They are mutated
         # exclusively through _register_group/_unregister_group so that
         # active_servers() and depth_statistics() are O(active servers) /
@@ -506,6 +525,10 @@ class ClashSystem:
         """The names of every server in the deployment."""
         return list(self._servers)
 
+    def sorted_server_names(self) -> list[str]:
+        """The server names in sorted order (a copy of the maintained list)."""
+        return list(self._sorted_names)
+
     def active_servers(self) -> list[str]:
         """Names of the servers currently managing at least one key group."""
         return sorted(self._owner_counts)
@@ -563,6 +586,21 @@ class ClashSystem:
         self._depth_total -= group.depth
         self._touched_groups.add(group)
         self._retired_assignments.append((group, owner))
+
+    def _memoise_ring_position(self, virtual_value: int) -> int:
+        """Hash a virtual key (given by value) onto the ring and remember the point.
+
+        The point is a pure function of the virtual key — every shard ring
+        shares one hash function — so entries never go stale: membership
+        changes and partition-map installs move *arcs and shard boundaries*,
+        not points.  Keying by value lets a whole left-descendant chain (same
+        virtual key at every depth) share one entry.
+        """
+        if len(self._ring_positions) >= RING_POSITION_MEMO_LIMIT:
+            self._ring_positions.clear()
+        position = self._position_hash.hash_value(virtual_value, self._config.key_bits)
+        self._ring_positions[virtual_value] = position
+        return position
 
     def drain_touched_groups(self) -> set[KeyGroup]:
         """Return-and-clear the groups touched since the last drain.
@@ -1234,11 +1272,14 @@ class ClashSystem:
         the transport and inserted into the ring (``add_node`` +
         ``stabilise``), after which the keys between its predecessor and its
         own identifier hash to it.  Every *active* key group whose virtual key
-        now maps to the joiner is handed over: the current owner releases the
-        group (``RELEASE_KEYGROUP``) and transfers responsibility — stored
-        queries included — with an ``ACCEPT_KEYGROUP`` envelope, exactly the
-        message a split would have used.  Consolidation linkage survives the
-        move for right children: the transferred entry keeps its parent
+        now maps to the joiner — its memoised ring position lies in the
+        joiner's arc and, on a sharded deployment, its key on the joiner's
+        shard — is handed over, in registry sort order: the current owner
+        releases the group (``RELEASE_KEYGROUP``) and transfers
+        responsibility — stored queries included — with an
+        ``ACCEPT_KEYGROUP`` envelope, exactly the message a split would have
+        used.  Consolidation linkage survives the move for right children:
+        the transferred entry keeps its parent
         server (a local ``"self"`` parent resolves to the former owner's
         name) and the parent entry's ``RightChildID`` is repointed at the
         joiner.  A moved *left* child restarts as a root entry instead —
@@ -1261,6 +1302,7 @@ class ClashSystem:
         shard = self._router.add_server(joiner, node_id=node_id)
         self._router.stabilise()
         self._servers[joiner] = server
+        insort(self._sorted_names, joiner)
         self._track_new_server(joiner)
         # Membership changed: standing report-diff state may address groups
         # the handoff below moves, so fall back to a full exchange.
@@ -1268,12 +1310,33 @@ class ClashSystem:
         self._transport.bind(joiner, self._make_endpoint(server), shard=shard)
         # Ring membership changed: cached DHT routes are stale.
         self._transport.invalidate_routes()
-        moving = [
-            (group, owner)
-            for group, owner in sorted(self._group_owner.items())
-            if self._router.owner_of_key(group.virtual_key) == joiner
-            and owner != joiner
-        ]
+        # The joiner took over exactly the hash keys in the clockwise arc
+        # (predecessor, joiner] of its shard ring.  ``span`` is that arc's
+        # length (the whole ring when the joiner is alone on it), and a point
+        # lies in the arc iff its clockwise distance to the joiner's id is
+        # shorter — one integer compare per registered group.
+        low, high = self._router.rings()[shard].owned_arc(joiner)
+        size = self._space.size
+        span = (high - low) % size or size
+        key_bits = self._config.key_bits
+        known_position = self._ring_positions.get
+        moving = []
+        for group, owner in self._group_owner.items():
+            virtual_value = group.prefix << (key_bits - group.depth)
+            position = known_position(virtual_value)
+            if position is None:
+                position = self._memoise_ring_position(virtual_value)
+            # The shard check follows the installed partition map, which a
+            # rebalance replaces: it is asked afresh, for the candidates only.
+            if (
+                (high - position) % size < span
+                and owner != joiner
+                and self._router.shard_of_key(group.virtual_key) == shard
+            ):
+                moving.append((group, owner))
+        # Handoffs run in registry sort order; sorting the movers alone gives
+        # the same sequence as sorting the whole registry first.
+        moving.sort()
         handed_off: dict[KeyGroup, str] = {}
         for group, former in moving:
             former_server = self._servers[former]
@@ -1285,7 +1348,7 @@ class ClashSystem:
             # load reports no parent can ever act on.  For right children a
             # "self" parent resolves to the former owner's name; roots stay
             # roots (ParentID = −1).
-            is_right_child = group.depth > 0 and group == group.parent().split()[1]
+            is_right_child = group.depth > 0 and group.is_right_child()
             if parent_id is None or not is_right_child:
                 parent_name = None
             else:
@@ -1502,6 +1565,7 @@ class ClashSystem:
                         surviving_parent[group] = name
                         break
         del self._servers[failed]
+        del self._sorted_names[bisect_left(self._sorted_names, failed)]
         self._dirty_load_servers.discard(failed)
         self._dirty_split.discard(failed)
         self._dirty_merge.discard(failed)
@@ -1572,6 +1636,9 @@ class ClashSystem:
            lives on the retrying server); the base-case mapping is what makes
            client depth discovery converge.
         4. Per-server table invariants hold.
+        5. Every memoised ring position of a registered group equals the
+           position recomputed from scratch with the hash function of the
+           ring that owns the group's virtual key.
         """
         groups = sorted(self._group_owner)
         pair = first_overlapping_pair(groups)
@@ -1591,6 +1658,15 @@ class ClashSystem:
             for group in server.active_groups():
                 assert self._group_owner.get(group) == name, (
                     f"registry does not record {name} as owner of {group}"
+                )
+        rings = self._router.rings()
+        for group in self._group_owner:
+            key = group.virtual_key
+            memoised = self._ring_positions.get(key.value)
+            if memoised is not None:
+                ring = rings[self._router.shard_of_key(key)]
+                assert memoised == ring.hash_function.hash_key(key), (
+                    f"memoised ring position {memoised} of {group} is stale"
                 )
         if self._router.shard_count > 1:
             self.verify_shard_invariants()

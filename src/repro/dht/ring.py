@@ -177,6 +177,23 @@ class ChordRing:
         self._ensure_fresh()
         return list(self._sorted_ids)
 
+    def has_node_id(self, node_id: int) -> bool:
+        """True if a current member sits at ``node_id`` (exact even while stale)."""
+        return node_id in self._nodes_by_id
+
+    def owned_arc(self, name: str) -> tuple[int, int]:
+        """The arc of hash keys the named node owns, as ``(predecessor_id, node_id)``.
+
+        A node owns exactly the keys in the clockwise half-open arc
+        ``(predecessor_id, node_id]`` — the rule :meth:`owner_of` resolves by
+        bisecting the ring order.  The arc wraps through zero when
+        ``predecessor_id > node_id``, and covers the whole ring when the two
+        are equal (a single-node ring).
+        """
+        self._ensure_fresh()
+        node = self._nodes_by_name[name]
+        return node.predecessor, node.node_id
+
     def memo_stats(self) -> dict[str, int]:
         """Lookup-memo telemetry: size plus lifetime hit/miss/churn counters.
 

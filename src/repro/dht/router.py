@@ -101,6 +101,10 @@ class RingRouter(abc.ABC):
     def node_ids(self) -> list[int]:
         """All node identifiers across every shard, in increasing order."""
 
+    def has_node_id(self, node_id: int) -> bool:
+        """True if a server on any shard ring sits at ``node_id``."""
+        return any(ring.has_node_id(node_id) for ring in self.rings())
+
     def __contains__(self, name: str) -> bool:
         try:
             self.server_shard(name)

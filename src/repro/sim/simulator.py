@@ -24,6 +24,7 @@ which is exactly the paper's non-adaptive comparison.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.config import ClashConfig
@@ -387,14 +388,14 @@ class FlowSimulator:
             schedule.churn if schedule is not None else None
         )
         self._forced_churn_installed = False
-        self._pending_churn: list[tuple[float, int, str | ChurnEvent]] = []
+        self._pending_churn: deque[tuple[float, int, str | ChurnEvent]] = deque()
         # Engine-scheduled churn can fire in the middle of a protocol
         # exchange (the request pumps the kernel), when the system is in a
         # legitimately half-transferred state that must not be mutated or
         # invariant-checked.  Events arriving in an unsafe window are
         # deferred and applied at the next quiescent point.
         self._churn_safe = True
-        self._deferred_churn: list[tuple[str | ChurnEvent, float]] = []
+        self._deferred_churn: deque[tuple[str | ChurnEvent, float]] = deque()
         self._join_counter = 0
         self._period_joins = 0
         self._period_failures = 0
@@ -414,8 +415,12 @@ class FlowSimulator:
         # schedule carrying recorded rebalances supersedes the live recompute
         # entirely (the maps install verbatim, pinned by version).
         self._adaptive_partition = params.partition == "adaptive" and params.shards > 1
-        self._forced_rebalances: list[RebalanceEvent] | None = (
-            sorted(schedule.rebalances, key=lambda event: (event.when, event.version))
+        self._forced_rebalances: deque[RebalanceEvent] | None = (
+            deque(
+                sorted(
+                    schedule.rebalances, key=lambda event: (event.when, event.version)
+                )
+            )
             if schedule is not None and schedule.rebalances is not None
             else None
         )
@@ -642,7 +647,7 @@ class FlowSimulator:
             # Sort once; removing each victim keeps the list identical to a
             # fresh sorted() of the surviving names, so the RNG draws match
             # the per-iteration re-sort this replaces.
-            names = sorted(self._system.server_names())
+            names = self._system.sorted_server_names()
             for _ in range(phase.fail_servers):
                 if len(names) <= 1:
                     break
@@ -734,7 +739,7 @@ class FlowSimulator:
     def _drain_pending_churn(self, horizon: float) -> None:
         """Apply queued churn events that arrived at or before ``horizon``."""
         while self._pending_churn and self._pending_churn[0][0] <= horizon:
-            when, _priority, kind = self._pending_churn.pop(0)
+            when, _priority, kind = self._pending_churn.popleft()
             self._apply_churn_event(kind, when)
 
     def _apply_churn_event(self, kind: str | ChurnEvent, when: float) -> None:
@@ -752,7 +757,7 @@ class FlowSimulator:
         try:
             self._execute_churn_event(kind, when)
             while self._deferred_churn:
-                self._execute_churn_event(*self._deferred_churn.pop(0))
+                self._execute_churn_event(*self._deferred_churn.popleft())
         finally:
             self._churn_safe = True
 
@@ -763,7 +768,7 @@ class FlowSimulator:
         and then consumes the rest of the queue itself.
         """
         if self._deferred_churn:
-            self._apply_churn_event(*self._deferred_churn.pop(0))
+            self._apply_churn_event(*self._deferred_churn.popleft())
 
     def _execute_churn_event(self, kind: str | ChurnEvent, when: float) -> None:
         """Execute one membership event (a server join or failure).
@@ -783,7 +788,7 @@ class FlowSimulator:
                 if (
                     event.node_id is None
                     or event.server in self._system.server_names()
-                    or event.node_id in set(self._system.router.node_ids())
+                    or self._system.router.has_node_id(event.node_id)
                 ):
                     return
                 handed_off = self._system.handle_server_join(
@@ -806,9 +811,8 @@ class FlowSimulator:
             name = f"j{self._join_counter}"
             self._join_counter += 1
             bits = self._config.hash_bits
-            taken = set(self._system.router.node_ids())
             node_id = self._join_rng.randbits(bits)
-            while node_id in taken:
+            while self._system.router.has_node_id(node_id):
                 node_id = self._join_rng.randbits(bits)
             handed_off = self._system.handle_server_join(name, node_id=node_id)
             self._period_joins += 1
@@ -818,7 +822,7 @@ class FlowSimulator:
                     ChurnEvent(when=when, kind="join", server=name, node_id=node_id)
                 )
         else:
-            names = sorted(self._system.server_names())
+            names = self._system.sorted_server_names()
             if len(names) <= 1:
                 return
             victim = self._fail_rng.choice(names)
@@ -858,7 +862,7 @@ class FlowSimulator:
             return
         if self._forced_rebalances is not None:
             while self._forced_rebalances and self._forced_rebalances[0].when <= when:
-                event = self._forced_rebalances.pop(0)
+                event = self._forced_rebalances.popleft()
                 new_map = PartitionMap(
                     boundaries=event.boundaries,
                     key_bits=self._config.key_bits,

@@ -88,6 +88,38 @@ class TestStabilisation:
         assert node.successor == 42
         assert node.predecessor == 42
         assert ring.owner_of(7) == "only"
+        assert ring.owned_arc("only") == (42, 42)  # the whole ring
+
+    def test_owned_arc_is_the_owner_of_rule(self):
+        """``(predecessor, node]`` holds exactly the keys ``owner_of`` gives the node."""
+        space = HashSpace(bits=8)
+        ring = ChordRing.build(node_count=7, space=space, rng=RandomStream(5))
+        for name in ring.node_names():
+            low, high = ring.owned_arc(name)
+            for key in range(space.size):
+                owns = space.in_half_open_interval(key, low, high)
+                assert owns == (ring.owner_of(key) == name)
+
+    def test_owned_arc_follows_joins_and_leaves(self, ring: ChordRing):
+        ids = ring.node_ids()
+        node_id = ids[0] - 1 if ids[0] > 0 else ids[-1] + 1
+        ring.add_node("edge", node_id=node_id)
+        assert ring.owned_arc("edge") == (ids[-1], node_id)  # stabilises first
+        ring.remove_node("edge")
+        first = ring.node_names()[0]
+        assert ring.owned_arc(first) == (ids[-1], ids[0])
+        with pytest.raises(KeyError):
+            ring.owned_arc("edge")
+
+    def test_has_node_id_is_exact_before_stabilisation(self, ring: ChordRing):
+        ids = ring.node_ids()
+        taken = ids[3]
+        free = next(value for value in range(1 << 16) if value not in ids)
+        assert ring.has_node_id(taken) and not ring.has_node_id(free)
+        ring.add_node("pending", node_id=free)
+        assert ring.has_node_id(free)
+        ring.remove_node("pending")
+        assert not ring.has_node_id(free)
 
     def test_fingers_point_to_successor_of_start(self, ring: ChordRing):
         space = ring.space

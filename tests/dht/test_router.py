@@ -134,6 +134,14 @@ class TestShardedRingRouter:
         )
         assert router.node_ids() == expected
 
+    def test_has_node_id_sees_every_shard(self, space):
+        router = ShardedRingRouter(space=space, shard_count=2, key_bits=KEY_BITS)
+        router.add_server("a", node_id=10)
+        router.add_server("b", node_id=20)
+        assert [len(ring) for ring in router.rings()] == [1, 1]
+        assert router.has_node_id(10) and router.has_node_id(20)
+        assert not router.has_node_id(15)
+
     def test_refuses_to_drain_a_shard(self, space):
         router = ShardedRingRouter(space=space, shard_count=2, key_bits=KEY_BITS)
         for name in ("a", "b", "c"):

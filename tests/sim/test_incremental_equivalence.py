@@ -48,6 +48,7 @@ def _assert_indexes_match_ground_truth(system: ClashSystem) -> None:
             truth[group] = name
     assert system.active_groups() == truth
     assert system.active_servers() == sorted({owner for owner in truth.values()})
+    assert system.sorted_server_names() == sorted(system.server_names())
     depths = [group.depth for group in truth]
     min_depth, avg_depth, max_depth = system.depth_statistics()
     assert min_depth == min(depths)
@@ -109,10 +110,12 @@ def test_randomized_mutations_keep_indexes_consistent():
                 for group in server.active_groups():
                     server.set_group_rate(group, 0.0)
             system.run_load_check()
-        elif len(system.server_names()) > 8:
+        elif action < 0.93 and len(system.server_names()) > 8:
             # Fail a random server (handoff / re-registration paths).
             victim = rng.choice(sorted(system.server_names()))
             system.handle_server_failure(victim)
+        else:
+            system.handle_server_join(f"j{step}")
         _assert_indexes_match_ground_truth(system)
         _assert_server_loads_match_raw_state(system)
         system.verify_invariants()
