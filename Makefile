@@ -8,13 +8,13 @@ PYTEST := PYTHONPATH=src python -m pytest
 # coverage grows, never lower it to admit a regression.
 COVERAGE_FLOOR := 90
 
-.PHONY: check lint test coverage bench-smoke bench bench-async bench-sharded bench-socket bench-check bench-baseline bench-paper bench-paper-baseline profile-paper fuzz-smoke perf perf-compare
+.PHONY: check lint test coverage smoke bench-smoke bench bench-async bench-sharded bench-socket bench-check bench-baseline bench-paper bench-paper-baseline profile-paper fuzz-smoke perf perf-compare
 
 check: lint test
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks; \
+		ruff check src tests benchmarks perf tools; \
 	else \
 		echo "ruff not installed; skipping lint"; \
 	fi
@@ -33,6 +33,11 @@ coverage:
 		PYTHONPATH=src python tools/coverage_floor.py --fail-under $(COVERAGE_FLOOR); \
 	fi
 
+# End-to-end CLI smoke runs: fig4 and churn on every registered transport,
+# single ring and 4 shards under every partition policy (~40 s).
+smoke:
+	python3 tools/smoke_matrix.py
+
 # One tiny benchmark configuration — fast enough for every CI run, keeps the
 # benchmark modules import-clean and their hot paths executing.
 bench-smoke:
@@ -42,7 +47,7 @@ bench-smoke:
 bench:
 	$(PYTEST) -q benchmarks
 
-# Wall-clock comparison of the asyncio transport against inline/batching on
+# Wall-clock comparison of the async transport against inline/batching on
 # the scaled reference workload (asserts bit-identical metrics as it goes).
 bench-async:
 	$(PYTEST) -q benchmarks/bench_async.py

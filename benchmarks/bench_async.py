@@ -1,4 +1,4 @@
-"""Benchmark — the asyncio transport against inline and batching.
+"""Benchmark — the async transport against inline and batching.
 
 Runs the scaled reference workload (the ``scaled(factor=4)`` configuration
 ``make bench-check`` pins, the period-engine hot path) once per transport and
@@ -7,9 +7,11 @@ reports wall-clock side by side.  Two properties are asserted:
 * **Metric equivalence** — the async run's ``PeriodSample`` stream is
   bit-identical to inline's (the same contract the golden test harness
   enforces at a smaller scale); batching must match too.
-* **Bounded overhead** — stepping an asyncio loop per exchange costs real
-  Python time; the async run must stay within ``ASYNC_OVERHEAD_BUDGET`` × the
-  inline wall-clock so the overhead cannot quietly grow into unusability.
+* **Bounded overhead** — deferring every envelope through a virtual-time
+  calendar, and exchanging every load report in full every period (a
+  transport that prices deliveries cannot diff them), costs real Python time;
+  the async run must stay within ``ASYNC_OVERHEAD_BUDGET`` × the inline
+  wall-clock so that cost cannot quietly grow.
 
 Run via ``make bench-async`` (or ``pytest -q benchmarks/bench_async.py``).
 """
@@ -24,13 +26,15 @@ from repro.sim.simulator import FlowSimulator, SimulationResult
 
 TRANSPORT_LINEUP = ("inline", "batching", "async")
 
-ASYNC_OVERHEAD_BUDGET = 5.0
+ASYNC_OVERHEAD_BUDGET = 2.0
 """The async run may cost at most this multiple of inline wall-clock.
 
-Generous on purpose: the asyncio loop's value is awaitable handlers and
-concurrency semantics, not raw speed — the budget guards against pathological
-regressions (accidental re-entry, busy-wait loops), not against the inherent
-per-exchange loop-step cost."""
+Measured 1.31× (0.41 s against 0.31 s, three runs within ±0.01 s): one heap
+push and pop per envelope plus the full report exchange.  The budget leaves
+half as much again for a noisy runner — both runs share the process, so noise
+mostly cancels in the ratio — and is tight enough that the implementation this
+one replaced (a private asyncio loop stepped once per exchange, 2.2× on the
+same machine) would fail it."""
 
 
 def _timed_run(transport: str, factor: int = 4, phase_periods: int = 4) -> tuple[SimulationResult, float]:

@@ -27,7 +27,6 @@ only their own tables, exactly as in the paper.
 from __future__ import annotations
 
 import heapq
-import inspect
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
@@ -53,49 +52,15 @@ from repro.keys.identifier import IdentifierKey
 from repro.keys.keygroup import KeyGroup, first_overlapping_pair
 from repro.net.envelope import DhtAddress, Envelope
 from repro.net.inline import InlineTransport
-from repro.net.transport import DeliveryFailed, Transport, TransportError
+from repro.net.transport import DeliveryFailed, Handler, Transport, TransportError
 from repro.util.rng import RandomStream
 from repro.util.validation import check_positive, check_power_of_two, check_type
 
-__all__ = ["AwaitableHandler", "ClashSystem", "SplitOutcome", "MergeOutcome"]
+__all__ = ["ClashSystem", "SplitOutcome", "MergeOutcome"]
 
 RING_POSITION_MEMO_LIMIT = 1 << 16
 """Entries kept in a deployment's ring-position memo before it is cleared
 (correctness never depends on a hit: a miss re-hashes the virtual key)."""
-
-
-class AwaitableHandler:
-    """The thin sync/async bridge every server endpoint is bound behind.
-
-    Synchronous transports (inline, event, batching) call the handler like a
-    plain function — dispatch runs on the caller's stack, exactly as before.
-    The asyncio transport awaits :meth:`handle_async` instead, which also
-    unwraps handlers that themselves return awaitables, so individual server
-    handlers may become native coroutines without touching the transports.
-    """
-
-    __slots__ = ("_handle",)
-
-    def __init__(self, handle) -> None:
-        self._handle = handle
-
-    def __call__(self, envelope: Envelope):
-        reply = self._handle(envelope)
-        if inspect.isawaitable(reply):
-            if inspect.iscoroutine(reply):
-                reply.close()  # silence the never-awaited warning
-            raise TransportError(
-                "handler returned an awaitable on a synchronous transport; "
-                "use the async transport for coroutine handlers"
-            )
-        return reply
-
-    async def handle_async(self, envelope: Envelope):
-        """Awaitable dispatch (used by the asyncio transport)."""
-        reply = self._handle(envelope)
-        if inspect.isawaitable(reply):
-            reply = await reply
-        return reply
 
 
 @dataclass(frozen=True)
@@ -363,6 +328,22 @@ class ClashSystem:
         self._dirty_merge.add(name)
         self._dirty_reports.add(name)
 
+    def _untrack_server(self, name: str) -> None:
+        """Forget a departed server in every per-server index.
+
+        The inverse of :meth:`_track_new_server` (plus the sorted-name list
+        and the cached verdicts); :meth:`verify_invariants` checks that no
+        index still names a server outside the registry, so an index added
+        without its line here is caught by the fuzzer.
+        """
+        del self._sorted_names[bisect_left(self._sorted_names, name)]
+        self._order_names.pop(self._server_order.pop(name), None)
+        self._dirty_load_servers.discard(name)
+        self._dirty_split.discard(name)
+        self._dirty_merge.discard(name)
+        self._dirty_reports.discard(name)
+        self._load_flags.pop(name, None)
+
     def _mark_server_load_dirty(self, name: str) -> None:
         """A server's load inputs changed; its cached verdicts are stale."""
         self._dirty_load_servers.add(name)
@@ -378,13 +359,11 @@ class ClashSystem:
             if order is not None and self._pass_cursor < order < self._pass_boundary:
                 heapq.heappush(self._pass_heap, order)
 
-    def _make_endpoint(self, server: ClashServer) -> AwaitableHandler:
+    def _make_endpoint(self, server: ClashServer) -> Handler:
         """The transport-facing handler for one server.
 
         Dispatches on the payload type of the incoming envelope; this is the
-        single place where transported messages re-enter server code.  The
-        returned :class:`AwaitableHandler` is callable for the synchronous
-        transports and awaitable (``handle_async``) for the asyncio one.
+        single place where transported messages re-enter server code.
         """
 
         def handle(envelope: Envelope):
@@ -409,7 +388,7 @@ class ClashSystem:
                 f"{type(payload).__name__}"
             )
 
-        return AwaitableHandler(handle)
+        return handle
 
     # ------------------------------------------------------------------ #
     # Convenience constructors
@@ -1262,6 +1241,78 @@ class ClashSystem:
         self._register_group(group, new_owner)
         return new_owner
 
+    def _hand_over(
+        self, group: KeyGroup, former: str, receiver: str, parent_name: str | None
+    ) -> bool:
+        """Move one active group from ``former`` to ``receiver``.
+
+        The handoff every membership-driven move uses: ``receiver`` asks the
+        current owner to release the group (``RELEASE_KEYGROUP``), and the
+        owner transfers responsibility — stored queries included — with the
+        ``ACCEPT_KEYGROUP`` envelope a split would have used.  The moved
+        entry reports to ``parent_name`` (``None``: it restarts as a root),
+        and a surviving parent's ``RightChildID`` is repointed at the
+        receiver.  Either server may fail with its half in flight:
+
+        * the former owner dies before releasing — one MERGE message is
+          charged and nothing else; its failure recovery has already
+          re-homed every group it still held;
+        * the owner refuses the release (the group changed under us
+          mid-handoff) — ownership stays where it is;
+        * the receiver dies after the release — the group and its queries
+          are re-homed as a root on the ring's current owner
+          (:meth:`_restart_as_root`).
+
+        Returns whether the group left ``former``.
+        """
+        try:
+            release = self._transport.request(
+                Envelope(
+                    source=receiver,
+                    destination=former,
+                    payload=ReleaseKeyGroup(group=group, child_server=former),
+                    category=MessageCategory.MERGE,
+                )
+            )
+        except DeliveryFailed:
+            self._messages.add(MessageCategory.MERGE, 1)
+            return False
+        if release.reply is None:
+            return False
+        queries: list = release.reply
+        try:
+            self._transport.request(
+                Envelope(
+                    source=former,
+                    destination=receiver,
+                    payload=AcceptKeyGroup(
+                        group=group,
+                        parent_server=parent_name,
+                        migrated_queries=len(queries),
+                    ),
+                    category=MessageCategory.SPLIT,
+                    attachment=queries,
+                )
+            )
+        except DeliveryFailed:
+            self._messages.add(MessageCategory.MERGE, 2)
+            self._messages.add(MessageCategory.SPLIT, 1)  # lost transfer
+            self._restart_as_root(group, queries)
+            return True
+        self._messages.add(MessageCategory.MERGE, 2)  # release request + reply
+        self._messages.add(MessageCategory.SPLIT, 2)  # transfer + ack
+        self._messages.add(MessageCategory.STATE_TRANSFER, len(queries))
+        if parent_name is not None and parent_name in self._servers:
+            parent_table = self._servers[parent_name].table
+            parent_group = group.parent()
+            if parent_group in parent_table:
+                entry = parent_table.entry(parent_group)
+                if not entry.active and entry.right_child_id == former:
+                    entry.right_child_id = receiver
+        self._unregister_group(group)
+        self._register_group(group, receiver)
+        return True
+
     def handle_server_join(
         self, joiner: str, node_id: int | None = None
     ) -> dict[KeyGroup, str]:
@@ -1274,15 +1325,12 @@ class ClashSystem:
         own identifier hash to it.  Every *active* key group whose virtual key
         now maps to the joiner — its memoised ring position lies in the
         joiner's arc and, on a sharded deployment, its key on the joiner's
-        shard — is handed over, in registry sort order: the current owner
-        releases the group (``RELEASE_KEYGROUP``) and transfers
-        responsibility — stored queries included — with an
-        ``ACCEPT_KEYGROUP`` envelope, exactly the message a split would have
-        used.  Consolidation linkage survives the move for right children:
-        the transferred entry keeps its parent
-        server (a local ``"self"`` parent resolves to the former owner's
-        name) and the parent entry's ``RightChildID`` is repointed at the
-        joiner.  A moved *left* child restarts as a root entry instead —
+        shard — is handed over (:meth:`_hand_over`), in registry sort order.
+        Consolidation linkage survives the move for right children: the
+        transferred entry keeps its parent server (a local ``"self"`` parent
+        resolves to the former owner's name) and the parent entry's
+        ``RightChildID`` is repointed at the joiner.  A moved *left* child
+        restarts as a root entry instead —
         the merge protocol needs the left child local to the parent-entry
         holder, so its linkage cannot survive (failure recovery makes the
         same call) — and root entries stay roots.
@@ -1353,62 +1401,8 @@ class ClashSystem:
                 parent_name = None
             else:
                 parent_name = former if parent_id == SELF_PARENT else parent_id
-            try:
-                release = self._transport.request(
-                    Envelope(
-                        source=joiner,
-                        destination=former,
-                        payload=ReleaseKeyGroup(group=group, child_server=former),
-                        category=MessageCategory.MERGE,
-                    )
-                )
-            except DeliveryFailed:
-                # The former owner failed with the release in flight; its
-                # failure recovery has already re-homed every group it still
-                # held (to the joiner, for the keys that moved it here).
-                self._messages.add(MessageCategory.MERGE, 1)
-                continue
-            if release.reply is None:
-                # The owner refused the release (the group changed under us
-                # mid-handoff); leave ownership where it is.
-                continue
-            queries: list = release.reply
-            try:
-                self._transport.request(
-                    Envelope(
-                        source=former,
-                        destination=joiner,
-                        payload=AcceptKeyGroup(
-                            group=group,
-                            parent_server=parent_name,
-                            migrated_queries=len(queries),
-                        ),
-                        category=MessageCategory.SPLIT,
-                        attachment=queries,
-                    )
-                )
-            except DeliveryFailed:
-                # The joiner itself failed before the transfer landed.  The
-                # release already happened, so the group and its queries must
-                # be re-homed — as a root on the ring's current owner.
-                self._messages.add(MessageCategory.MERGE, 2)
-                self._messages.add(MessageCategory.SPLIT, 1)  # lost transfer
+            if self._hand_over(group, former, joiner, parent_name):
                 handed_off[group] = former
-                self._restart_as_root(group, queries)
-                continue
-            self._messages.add(MessageCategory.MERGE, 2)  # release request + reply
-            self._messages.add(MessageCategory.SPLIT, 2)  # transfer + ack
-            self._messages.add(MessageCategory.STATE_TRANSFER, len(queries))
-            if parent_name is not None and parent_name in self._servers:
-                parent_table = self._servers[parent_name].table
-                parent_group = group.parent()
-                if parent_group in parent_table:
-                    entry = parent_table.entry(parent_group)
-                    if not entry.active and entry.right_child_id == former:
-                        entry.right_child_id = joiner
-            self._unregister_group(group)
-            self._register_group(group, joiner)
-            handed_off[group] = former
         return handed_off
 
     def rebalance_partition(self, new_map: PartitionMap) -> dict[KeyGroup, str]:
@@ -1418,22 +1412,14 @@ class ClashSystem:
         partition map, so installing ``new_map`` atomically redefines which
         shard each key belongs to, and this method then makes ownership catch
         up by migrating every active key group whose shard changed.  Migration
-        reuses the join-handoff machinery verbatim — the former owner releases
-        the group (``RELEASE_KEYGROUP``), and responsibility plus stored
-        queries transfer with an ``ACCEPT_KEYGROUP`` envelope to the server
-        the group's virtual key hashes to on its *new* shard's ring.  A moved
-        group always restarts as a root entry: consolidation linkage cannot
-        span shards (parents and children must share a ring for the merge
-        protocol), exactly the rule :meth:`handle_server_join` applies to
-        moved left children.  Stale parent entries left behind on the old
-        shard are harmless — their release probe finds the child gone and the
-        merge is simply skipped.
-
-        Mid-flight failures get the join-handoff treatment too: a former
-        owner dying with the release outstanding costs one MERGE message and
-        nothing else (its failure recovery already re-homed the group under
-        the new map); a receiver dying after the release re-homes the group
-        as a root on the ring's current owner via :meth:`_restart_as_root`.
+        is the join's handoff (:meth:`_hand_over`, mid-flight failure recovery
+        included) to the server the group's virtual key hashes to on its *new*
+        shard's ring.  A moved group always restarts as a root entry:
+        consolidation linkage cannot span shards (parents and children must
+        share a ring for the merge protocol), exactly the rule
+        :meth:`handle_server_join` applies to moved left children.  Stale
+        parent entries left behind on the old shard are harmless — their
+        release probe finds the child gone and the merge is simply skipped.
 
         Args:
             new_map: The partition to install.  Must match the router's shard
@@ -1470,55 +1456,8 @@ class ClashSystem:
         migrated: dict[KeyGroup, str] = {}
         for group, former in moving:
             new_owner = self._router.owner_of_key(group.virtual_key)
-            try:
-                release = self._transport.request(
-                    Envelope(
-                        source=new_owner,
-                        destination=former,
-                        payload=ReleaseKeyGroup(group=group, child_server=former),
-                        category=MessageCategory.MERGE,
-                    )
-                )
-            except DeliveryFailed:
-                # The former owner failed with the release in flight; its
-                # failure recovery has already re-homed every group it still
-                # held under the freshly installed map.
-                self._messages.add(MessageCategory.MERGE, 1)
-                continue
-            if release.reply is None:
-                # The owner refused the release (the group changed under us
-                # mid-rebalance); leave ownership where it is.
-                continue
-            queries: list = release.reply
-            try:
-                self._transport.request(
-                    Envelope(
-                        source=former,
-                        destination=new_owner,
-                        payload=AcceptKeyGroup(
-                            group=group,
-                            parent_server=None,
-                            migrated_queries=len(queries),
-                        ),
-                        category=MessageCategory.SPLIT,
-                        attachment=queries,
-                    )
-                )
-            except DeliveryFailed:
-                # The receiver failed before the transfer landed.  The
-                # release already happened, so the group and its queries must
-                # be re-homed — as a root on the ring's current owner.
-                self._messages.add(MessageCategory.MERGE, 2)
-                self._messages.add(MessageCategory.SPLIT, 1)  # lost transfer
+            if self._hand_over(group, former, new_owner, None):
                 migrated[group] = former
-                self._restart_as_root(group, queries)
-                continue
-            self._messages.add(MessageCategory.MERGE, 2)  # release request + reply
-            self._messages.add(MessageCategory.SPLIT, 2)  # transfer + ack
-            self._messages.add(MessageCategory.STATE_TRANSFER, len(queries))
-            self._unregister_group(group)
-            self._register_group(group, new_owner)
-            migrated[group] = former
         return migrated
 
     def handle_server_failure(self, failed: str) -> dict[KeyGroup, str]:
@@ -1565,15 +1504,7 @@ class ClashSystem:
                         surviving_parent[group] = name
                         break
         del self._servers[failed]
-        del self._sorted_names[bisect_left(self._sorted_names, failed)]
-        self._dirty_load_servers.discard(failed)
-        self._dirty_split.discard(failed)
-        self._dirty_merge.discard(failed)
-        self._dirty_reports.discard(failed)
-        self._load_flags.pop(failed, None)
-        order = self._server_order.pop(failed, None)
-        if order is not None:
-            self._order_names.pop(order, None)
+        self._untrack_server(failed)
         # Membership changed: survivors' standing reports may address groups
         # the recovery below re-homes, so fall back to a full exchange.
         self._invalidate_report_diff()
@@ -1639,6 +1570,8 @@ class ClashSystem:
         5. Every memoised ring position of a registered group equals the
            position recomputed from scratch with the hash function of the
            ring that owns the group's virtual key.
+        6. No per-server index names a server outside the registry: a
+           departed server is forgotten everywhere (:meth:`_untrack_server`).
         """
         groups = sorted(self._group_owner)
         pair = first_overlapping_pair(groups)
@@ -1668,6 +1601,25 @@ class ClashSystem:
                 assert memoised == ring.hash_function.hash_key(key), (
                     f"memoised ring position {memoised} of {group} is stale"
                 )
+        indexes = {
+            "_dirty_load_servers": self._dirty_load_servers,
+            "_dirty_split": self._dirty_split,
+            "_dirty_merge": self._dirty_merge,
+            "_dirty_reports": self._dirty_reports,
+            "_load_flags": self._load_flags,
+            "_server_order": self._server_order,
+            "_order_names": self._order_names.values(),
+            "_sorted_names": self._sorted_names,
+            "_delivered_reports": self._delivered_reports,
+            "_delivered_reports (parents)": [
+                parent
+                for pairs in self._delivered_reports.values()
+                for parent, _group in pairs
+            ],
+        }
+        for label, names in indexes.items():
+            strangers = set(names) - self._servers.keys()
+            assert not strangers, f"{label} still names departed {sorted(strangers)}"
         if self._router.shard_count > 1:
             self.verify_shard_invariants()
 

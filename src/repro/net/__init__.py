@@ -6,8 +6,9 @@ The protocol layer wraps every exchange in an
 whether delivery is synchronous (:class:`~repro.net.inline.InlineTransport`),
 event-driven with simulated latency (:class:`~repro.net.event.EventTransport`),
 batched per load-check period
-(:class:`~repro.net.batching.BatchingTransport`), awaitable on an asyncio
-event loop (:class:`~repro.net.asyncio_transport.AsyncTransport`) or carried
+(:class:`~repro.net.batching.BatchingTransport`), deferred through a
+seeded-shuffle virtual-time calendar
+(:class:`~repro.net.asyncio_transport.AsyncTransport`) or batched and carried
 to per-shard worker processes over framed sockets
 (:class:`~repro.net.socket_transport.SocketTransport`).
 
@@ -76,8 +77,8 @@ __all__ = [
 def __getattr__(name: str):
     # EventTransport pulls in the simulation engine, whose package imports the
     # protocol layer; loading it lazily keeps ``repro.net`` importable from
-    # ``repro.core.protocol`` without a cycle.  AsyncTransport is kept lazy
-    # for symmetry (and so importing repro.net never touches asyncio).
+    # ``repro.core.protocol`` without a cycle.  The other non-default
+    # transports are lazy too, so a run only imports the one it uses.
     if name == "EventTransport":
         from repro.net.event import EventTransport
 

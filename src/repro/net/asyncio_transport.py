@@ -1,73 +1,53 @@
-"""The asyncio transport: CLASH's message plane on an asyncio event loop.
+"""The async transport: a seeded-shuffle virtual-time calendar, drained
+synchronously.
 
-:class:`AsyncTransport` runs every delivery as real asyncio work — handlers
-may be native coroutines (the protocol layer's endpoints expose an awaitable
-side through :class:`~repro.core.protocol.AwaitableHandler`), endpoints
-consume their traffic from **per-endpoint inboxes** drained by concurrently
-scheduled tasks, and latency is priced by the same pluggable models the event
-transport uses (:mod:`repro.net.latency`).
+:class:`AsyncTransport` decouples *send* from *delivery*.  Every envelope
+waits in a private calendar until its latency (priced by the same pluggable
+models the event transport uses, :mod:`repro.net.latency`) has elapsed on a
+virtual clock, and envelopes that become ready at the same instant are
+delivered in a *seeded shuffle* order — reproducible run over run, and
+adversarial enough to prove the protocol does not depend on delivery order.
+:meth:`request` and :meth:`flush` drain the calendar in a plain loop on the
+caller's stack: no handler ever suspends, so there is nothing for an event
+loop to interleave.  (The module keeps its historical name — it once ran the
+calendar on a private asyncio loop, one task per endpoint — because the
+benchmark imports the class by this path.)
 
-The protocol layer stays synchronous: :meth:`request`, :meth:`post` and
-:meth:`flush` are the ordinary blocking :class:`~repro.net.transport.Transport`
-surface, and each one *steps the transport's own event loop* until the
-exchange (or the whole in-flight set) has completed.  The transport therefore
-owns its loop outright — it is created privately, never shared, and never
-running when control is outside the transport — which is what makes the
-sync/async bridge safe: no executor threads, no re-entrancy.
+Determinism is a design requirement, not an accident.  The delivery order is
+a pure function of the send sequence, the latency model and the tie-break
+source:
 
-Determinism is a design requirement, not an accident:
-
-* envelopes wait in a virtual-time calendar ordered by
-  ``(ready_at, tie_break, sequence)``, where ``tie_break`` is drawn from a
-  seeded :class:`~repro.util.rng.RandomStream` at send time — simultaneous
-  messages become ready in a *seeded shuffle* order, reproducible run over
-  run (and adversarial enough to prove the protocol does not depend on
-  delivery order);
-* every batch of simultaneously-ready envelopes is released to the inboxes in
-  calendar order, and asyncio's FIFO ready queue makes the resulting task
-  interleaving a pure function of that order.
+* envelopes wait ordered by ``(ready_at, tie_break, sequence)``, where
+  ``tie_break`` is drawn at send time from a seeded
+  :class:`~repro.util.rng.RandomStream` (or a recorded
+  :class:`~repro.net.replay.TieTape`);
+* the calendar is drained one *batch* — every envelope sharing the earliest
+  ``ready_at`` — at a time, and a batch is delivered **grouped by
+  destination, destinations in order of their first envelope in the batch,
+  FIFO within a destination**.  This is the order the per-endpoint inbox
+  tasks of the asyncio implementation produced, kept because the goldens and
+  every recorded tie tape depend on it;
+* a batch is fixed when it leaves the calendar: whatever a handler posts
+  meanwhile, even at zero latency, lands in a later batch.
 
 Same seed ⇒ same delivery order, same clock readings, same metrics.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
-import inspect
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
 
 from repro.net.envelope import Delivery, Envelope
-from repro.net.latency import LatencyModel, ZeroLatency
-from repro.net.transport import DeliveryFailed, Transport, TransportError
+from repro.net.latency import LatencyModel
+from repro.net.transport import DeliveryFailed, TimedTransport, TransportError
 from repro.util.rng import RandomStream
 
 __all__ = ["AsyncTransport"]
 
-_PUMP_GUARD = 10_000_000
 
-
-@dataclass(order=True, slots=True)
-class _Flight:
-    """One envelope waiting in the virtual-time calendar.
-
-    Ordered by ``(ready_at, tie_break, sequence)``: ready time first, then the
-    seeded tie-break for simultaneous arrivals, then send order as the final
-    (deterministic) fallback.
-    """
-
-    ready_at: float
-    tie_break: float
-    sequence: int
-    server: str = field(compare=False)
-    envelope: Envelope = field(compare=False)
-    reply: asyncio.Future | None = field(compare=False, default=None)
-
-
-class AsyncTransport(Transport):
-    """Awaitable-handler delivery on a privately owned asyncio event loop.
+class AsyncTransport(TimedTransport):
+    """Deferred delivery from a private virtual-time calendar.
 
     Args:
         latency: Prices each delivery in seconds of virtual time (defaults to
@@ -84,41 +64,23 @@ class AsyncTransport(Transport):
         latency: LatencyModel | None = None,
         ready_rng: RandomStream | None = None,
     ) -> None:
-        super().__init__()
-        self._latency = latency if latency is not None else ZeroLatency()
+        super().__init__(latency)
         self._ready_rng = ready_rng
-        self._loop = asyncio.new_event_loop()
         self._clock = 0.0
-        self._calendar: list[_Flight] = []
+        # Heap of (ready_at, tie_break, sequence, server, envelope); the
+        # unique sequence number settles every comparison before the payload.
+        self._calendar: list[tuple[float, float, int, str, Envelope]] = []
         self._sequence = itertools.count()
-        self._inboxes: dict[str, deque[_Flight]] = {}
-        self._drainers: dict[str, asyncio.Task] = {}
-        self._in_flight = 0
-        self._delivery_error: BaseException | None = None
-        self._latency_samples: list[float] = []
+        self._delivering = False
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
 
     @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        """The privately owned asyncio event loop deliveries run on."""
-        return self._loop
-
-    @property
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._clock
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The current latency model."""
-        return self._latency
-
-    def set_latency_model(self, latency: LatencyModel) -> None:
-        """Swap the latency model (scenario phases may override it)."""
-        self._latency = latency
 
     @property
     def ready_source(self):
@@ -136,223 +98,102 @@ class AsyncTransport(Transport):
         """
         self._ready_rng = source
 
-    def drain_latency_samples(self) -> list[float]:
-        """Per-delivery (one-way) latencies recorded since the last drain."""
-        samples = self._latency_samples
-        self._latency_samples = []
-        return samples
-
     # ------------------------------------------------------------------ #
-    # Delivery (the synchronous Transport surface)
+    # Delivery
     # ------------------------------------------------------------------ #
 
     def request(self, envelope: Envelope) -> Delivery:
-        """Deliver an envelope and step the loop until its reply resolves.
+        """Deliver an envelope, draining the calendar until its reply is in.
 
+        Everything ready no later than the request is delivered on the way.
         Raises :class:`~repro.net.transport.DeliveryFailed` when the
         destination unbinds (server failure) while the request is in flight;
-        the cancelled exchange is counted in :attr:`dropped_messages`.
+        the cancelled exchange is counted in :attr:`dropped_messages`.  An
+        error raised by the destination's handler is re-raised here.
         """
         server, hops = self._route(envelope)
         forward = self._latency.sample(envelope.source, server, hops)
         backward = self._latency.sample(server, envelope.source, 0)
-        reply_future = self._loop.create_future()
-        self._schedule(server, envelope, delay=forward, reply=reply_future)
-        self._step(lambda: reply_future.done())
-        failure = reply_future.exception()
+        reply, failure = self._drain(self._schedule(server, envelope, forward))
+        self._latency_samples.append(forward)
         if failure is not None:
             # No reply leg: the request died on the forward leg.
-            self._latency_samples.append(forward)
             raise failure
         self._clock += backward
-        self._latency_samples.append(forward)
         self._latency_samples.append(backward)
-        return Delivery(
-            server=server,
-            hops=hops,
-            reply=reply_future.result(),
-            latency=forward + backward,
-        )
+        return Delivery(server=server, hops=hops, reply=reply, latency=forward + backward)
 
     def post(self, envelope: Envelope) -> Delivery:
-        """Queue a one-way delivery; it lands when the loop next runs."""
+        """Queue a one-way delivery; it lands when the calendar is next drained."""
         server, hops = self._route(envelope)
         delay = self._latency.sample(envelope.source, server, hops)
-        self._schedule(server, envelope, delay=delay, reply=None)
+        self._schedule(server, envelope, delay)
         self._latency_samples.append(delay)
         return Delivery(server=server, hops=hops, latency=delay)
 
     def flush(self) -> int:
-        """Step the loop until every in-flight envelope has been delivered."""
-        flushed = self._in_flight
-        if flushed:
-            self._step(lambda: self._in_flight == 0)
+        """Drain the calendar; returns how many envelopes were waiting in it."""
+        flushed = len(self._calendar)
+        self._drain(None)
         return flushed
-
-    def close(self) -> None:
-        """Close the owned event loop (idempotent)."""
-        super().close()
-        if self._loop.is_closed():
-            return
-        pending = [task for task in self._drainers.values() if not task.done()]
-        for task in pending:
-            task.cancel()
-        if pending:
-            self._loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True)
-            )
-        self._drainers.clear()
-        self._loop.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------ #
     # The virtual-time calendar
     # ------------------------------------------------------------------ #
 
-    def _schedule(
-        self,
-        server: str,
-        envelope: Envelope,
-        delay: float,
-        reply: asyncio.Future | None,
-    ) -> None:
+    def _schedule(self, server: str, envelope: Envelope, delay: float) -> int:
+        """Enter an envelope into the calendar; returns its sequence number."""
         tie_break = self._ready_rng.uniform(0.0, 1.0) if self._ready_rng else 0.0
-        flight = _Flight(
-            ready_at=self._clock + delay,
-            tie_break=tie_break,
-            sequence=next(self._sequence),
-            server=server,
-            envelope=envelope,
-            reply=reply,
+        sequence = next(self._sequence)
+        heapq.heappush(
+            self._calendar, (self._clock + delay, tie_break, sequence, server, envelope)
         )
-        heapq.heappush(self._calendar, flight)
-        self._in_flight += 1
+        return sequence
 
-    def _step(self, done) -> None:
-        """Run the owned loop until ``done()`` holds (the sync/async seam)."""
-        if self._loop.is_running():
+    def _drain(self, awaited: int | None) -> tuple[object, BaseException | None] | None:
+        """Deliver batches until envelope ``awaited`` has landed (``None``:
+        until the calendar is empty); returns its ``(reply, failure)``.
+
+        A batch is always delivered whole.  The awaited envelope's failure —
+        :class:`DeliveryFailed` or its handler's error — is returned to the
+        requester; an error from any other handler has no waiting caller, so
+        the first one is raised once its batch is through (handler errors
+        are programming errors and must not be swallowed).
+        """
+        if self._delivering:
             raise TransportError(
                 "re-entrant delivery: a handler called back into the "
-                "transport's synchronous surface while the loop was running"
+                "transport's synchronous surface while a batch was being delivered"
             )
-        self._loop.run_until_complete(self._pump(done))
-        self._raise_pending_delivery_error()
-
-    def _raise_pending_delivery_error(self) -> None:
-        """Re-raise a handler error from a one-way delivery, exactly once.
-
-        Request/reply errors travel through the reply future; a *post* whose
-        handler raised has no waiting caller, so the drainer task parks the
-        error here and the next synchronous entry point surfaces it (handler
-        errors are programming errors and must not be swallowed)."""
-        if self._delivery_error is not None:
-            error, self._delivery_error = self._delivery_error, None
-            raise error
-
-    async def _pump(self, done) -> None:
-        """Advance virtual time and let endpoint tasks run until ``done()``.
-
-        One iteration either (a) yields to the loop so already-released
-        inbox work progresses, or (b) releases the next batch of
-        simultaneously-ready flights from the calendar, in seeded tie-break
-        order, to their per-endpoint inboxes.
-        """
-        guard = 0
-        while not done():
-            if self._delivery_error is not None:
-                return  # surfaced by _step via _raise_pending_delivery_error
-            if self._drainers:
-                await asyncio.sleep(0)
-            elif self._calendar:
-                now = self._calendar[0].ready_at
-                self._clock = max(self._clock, now)
-                while self._calendar and self._calendar[0].ready_at == now:
-                    flight = heapq.heappop(self._calendar)
-                    inbox = self._inboxes.setdefault(flight.server, deque())
-                    inbox.append(flight)
-                    if flight.server not in self._drainers:
-                        self._drainers[flight.server] = self._loop.create_task(
-                            self._drain_inbox(flight.server)
-                        )
-            else:
-                raise TransportError(
-                    "async transport stalled: waiting for a delivery but the "
-                    "calendar is empty and no endpoint has pending work"
-                )
-            guard += 1
-            if guard > _PUMP_GUARD:  # pragma: no cover - safety net
-                raise TransportError("async transport did not converge")
-
-    # ------------------------------------------------------------------ #
-    # Per-endpoint inbox draining
-    # ------------------------------------------------------------------ #
-
-    async def _drain_inbox(self, name: str) -> None:
-        """Deliver one endpoint's released envelopes, in order, as a task.
-
-        One drainer task exists per endpoint with pending work; drainers for
-        different endpoints are interleaved by the loop, which is what makes
-        simultaneously-ready traffic to distinct servers genuinely
-        concurrent.  The task retires once the inbox is empty.
-        """
-        inbox = self._inboxes[name]
+        calendar = self._calendar
+        outcome: tuple[object, BaseException | None] | None = None
+        stray: BaseException | None = None
+        self._delivering = True
         try:
-            while inbox:
-                flight = inbox.popleft()
-                await self._deliver(flight)
+            while calendar and outcome is None and stray is None:
+                now = calendar[0][0]
+                if now > self._clock:
+                    self._clock = now
+                batch: dict[str, list[tuple[int, Envelope]]] = {}
+                while calendar and calendar[0][0] == now:
+                    _, _, sequence, server, envelope = heapq.heappop(calendar)
+                    batch.setdefault(server, []).append((sequence, envelope))
+                for server, arrivals in batch.items():
+                    for sequence, envelope in arrivals:
+                        reply = failure = None
+                        try:
+                            if self._arrived(self._clock, server, envelope):
+                                reply = self._dispatch(server, envelope)
+                            elif sequence == awaited:
+                                failure = DeliveryFailed(server, envelope)
+                        except Exception as error:
+                            failure = error
+                        if sequence == awaited:
+                            outcome = (reply, failure)
+                        elif failure is not None and stray is None:
+                            stray = failure
         finally:
-            del self._drainers[name]
-
-    async def _deliver(self, flight: _Flight) -> None:
-        server = flight.server
-        if self.log_deliveries:
-            self.delivery_log.append(
-                (self._clock, server, type(flight.envelope.payload).__name__)
-            )
-        try:
-            if not self.is_bound(server):
-                # The endpoint unbound with this envelope in flight (server
-                # failure): drop it like a real network.  One-way posts are
-                # counted and forgotten; request/reply exchanges surface the
-                # cancellation to the waiting caller as DeliveryFailed.
-                self.dropped_messages += 1
-                if flight.reply is not None and not flight.reply.done():
-                    flight.reply.set_exception(DeliveryFailed(server, flight.envelope))
-                return
-            try:
-                reply = await self._dispatch_async(server, flight.envelope)
-            except Exception as error:
-                if flight.reply is not None and not flight.reply.done():
-                    flight.reply.set_exception(error)
-                elif self._delivery_error is None:
-                    self._delivery_error = error
-                return
-            if flight.reply is not None and not flight.reply.done():
-                flight.reply.set_result(reply)
-        finally:
-            self._in_flight -= 1
-
-    async def _dispatch_async(self, name: str, envelope: Envelope):
-        """The awaitable twin of :meth:`Transport._dispatch`.
-
-        Prefers the handler's async side (``handle_async``, provided by the
-        protocol layer's :class:`~repro.core.protocol.AwaitableHandler`
-        bridge); a bare sync handler — or one returning an awaitable — works
-        too.
-        """
-        handler = self._handlers.get(name)
-        if handler is None:
-            raise TransportError(f"no endpoint bound for {name!r}")
-        self.envelopes_delivered += 1
-        handle_async = getattr(handler, "handle_async", None)
-        if handle_async is not None:
-            return await handle_async(envelope)
-        reply = handler(envelope)
-        if inspect.isawaitable(reply):
-            return await reply
-        return reply
+            self._delivering = False
+        if stray is not None:
+            raise stray
+        return outcome

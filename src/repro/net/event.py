@@ -17,14 +17,14 @@ the same times.
 from __future__ import annotations
 
 from repro.net.envelope import Delivery, Envelope
-from repro.net.latency import LatencyModel, ZeroLatency
-from repro.net.transport import DeliveryFailed, Transport, TransportError
+from repro.net.latency import LatencyModel
+from repro.net.transport import DeliveryFailed, TimedTransport, TransportError
 from repro.sim.engine import SimulationEngine
 
 __all__ = ["EventTransport"]
 
 
-class EventTransport(Transport):
+class EventTransport(TimedTransport):
     """Routes every envelope through a simulation-engine event.
 
     Args:
@@ -38,40 +38,14 @@ class EventTransport(Transport):
         engine: SimulationEngine | None = None,
         latency: LatencyModel | None = None,
     ) -> None:
-        super().__init__()
+        super().__init__(latency)
         self._engine = engine if engine is not None else SimulationEngine()
-        self._latency = latency if latency is not None else ZeroLatency()
         self._in_flight = 0
-        self._latency_samples: list[float] = []
 
     @property
     def engine(self) -> SimulationEngine:
         """The event kernel this transport schedules deliveries on."""
         return self._engine
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The current latency model."""
-        return self._latency
-
-    def set_latency_model(self, latency: LatencyModel) -> None:
-        """Swap the latency model (scenario phases may override it)."""
-        self._latency = latency
-
-    # ------------------------------------------------------------------ #
-    # Latency metrics
-    # ------------------------------------------------------------------ #
-
-    def drain_latency_samples(self) -> list[float]:
-        """Per-delivery (one-way) latencies recorded since the last drain.
-
-        A request/reply exchange contributes two samples — the forward leg
-        and the reply leg — so the mean is a per-message delivery latency,
-        commensurate with the one-way samples posts record.
-        """
-        samples = self._latency_samples
-        self._latency_samples = []
-        return samples
 
     # ------------------------------------------------------------------ #
     # Delivery
@@ -95,13 +69,10 @@ class EventTransport(Transport):
         outcome: dict[str, object] = {}
 
         def deliver(now: float) -> None:
-            if self.log_deliveries:
-                self.delivery_log.append((now, server, type(envelope.payload).__name__))
-            if not self.is_bound(server):
-                self.dropped_messages += 1
+            if self._arrived(now, server, envelope):
+                outcome["reply"] = self._dispatch(server, envelope)
+            else:
                 outcome["failed"] = True
-                return
-            outcome["reply"] = self._dispatch(server, envelope)
 
         self._engine.schedule_in(forward, deliver, label=f"deliver->{server}")
         self._pump(lambda: bool(outcome))
@@ -123,18 +94,9 @@ class EventTransport(Transport):
         self._in_flight += 1
 
         def deliver(now: float) -> None:
-            if self.log_deliveries:
-                self.delivery_log.append((now, server, type(envelope.payload).__name__))
             try:
-                # An endpoint unbound after scheduling (the server failed
-                # with this message in flight) drops the envelope like a real
-                # network instead of aborting the whole simulation run.  Only
-                # that case is a drop: a *handler* raising TransportError is
-                # a programming error and still propagates.
-                if not self.is_bound(server):
-                    self.dropped_messages += 1
-                    return
-                self._dispatch(server, envelope)
+                if self._arrived(now, server, envelope):
+                    self._dispatch(server, envelope)
             finally:
                 self._in_flight -= 1
 

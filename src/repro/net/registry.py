@@ -8,15 +8,18 @@ equivalence parametrization — derives from :data:`TRANSPORTS` instead of
 maintaining its own list.  Adding a transport means adding one
 :class:`TransportSpec` here; everything else follows.
 
-Each spec also records the *equivalence contract* the transport makes, which
-is what the golden test harness (``tests/net/equivalence.py``) enforces:
+Every registered transport makes the same base *equivalence contract*, which
+the golden test harness (``tests/net/equivalence.py``) enforces: with a
+zero-latency model, a flow simulation on it produces
+:class:`~repro.sim.metrics.PeriodSample` streams bit-identical to
+:class:`~repro.net.inline.InlineTransport`, on any shard count (every
+transport honours the base class's per-shard endpoint namespace).  Each spec
+records where a transport goes beyond or stops short of that:
 
-* ``exact_equivalence`` — with a zero-latency model, a flow simulation on
-  this transport produces :class:`~repro.sim.metrics.PeriodSample` streams
-  bit-identical to :class:`~repro.net.inline.InlineTransport`.
-* ``churn_equivalence`` — the same holds under period-boundary membership
-  churn.  The event transport executes churn *mid-phase* on its engine clock
-  (a deliberately different, more realistic schedule), so it opts out.
+* ``churn_equivalence`` — the contract also holds under period-boundary
+  membership churn.  The event transport executes churn *mid-phase* on its
+  engine clock (a deliberately different, more realistic schedule), so it
+  opts out.
 """
 
 from __future__ import annotations
@@ -55,18 +58,9 @@ class TransportSpec:
             drained at period boundaries.
         models_time: Deliveries are priced by a latency model and the
             transport keeps a clock (``link_latency`` & friends apply).
-        exact_equivalence: Zero-latency runs reproduce inline
-            ``PeriodSample`` streams bit for bit (golden harness enforces).
-        churn_equivalence: ``exact_equivalence`` extends to scenarios with
-            membership churn.
-        shard_aware: The transport honours per-shard endpoint namespacing
-            (``bind(..., shard=...)`` / ``endpoints(shard=...)``) and may
-            carry a sharded deployment.  All in-process transports inherit
-            the base :class:`~repro.net.transport.Transport` namespace and
-            are shard-aware; the socket transport goes further and routes
-            each shard namespace to its own worker process.
-            :class:`~repro.sim.simulator.SimulationParams` refuses
-            ``shards > 1`` on a transport that is not shard-aware.
+        churn_equivalence: Zero-latency runs reproduce inline
+            ``PeriodSample`` streams bit for bit under membership churn too
+            (without churn every transport does; golden harness enforces).
         report_diff: The protocol layer may skip re-posting load reports whose
             content the destination already holds (the report-diff exchange in
             :meth:`~repro.core.protocol.ClashSystem.exchange_load_reports`).
@@ -83,9 +77,7 @@ class TransportSpec:
     factory: Callable[..., "Transport"]
     needs_engine: bool = False
     models_time: bool = False
-    exact_equivalence: bool = True
     churn_equivalence: bool = True
-    shard_aware: bool = True
     report_diff: bool = False
 
 
@@ -159,8 +151,8 @@ TRANSPORTS: dict[str, TransportSpec] = {
         ),
         TransportSpec(
             kind="async",
-            summary="asyncio event loop with awaitable handlers, per-endpoint "
-            "inboxes and seeded ready-order",
+            summary="virtual-time calendar with seeded ready-order, drained "
+            "synchronously in per-destination batches",
             factory=_build_async,
             models_time=True,
         ),
@@ -176,9 +168,9 @@ TRANSPORTS: dict[str, TransportSpec] = {
             summary="one worker process per shard, length-prefixed msgpack "
             "frames over inherited socketpairs",
             factory=_build_socket,
-            # Clock-less like batching: churn drains at period boundaries,
-            # routes coalesce per window with replayed hop charges, so both
-            # equivalence contracts hold bit for bit.
+            # The batching plane on another carrier: churn drains at period
+            # boundaries and routes coalesce per window with replayed hop
+            # charges, so the churn contract holds bit for bit.
             report_diff=True,
         ),
     )

@@ -12,23 +12,20 @@ acknowledges it — so the wire-plane work (serialization, framing, protocol
 validation) runs on the workers' cores while the coordinator keeps running
 the handlers.
 
-Delivery semantics mirror :class:`~repro.net.batching.BatchingTransport`
-exactly, which is what makes the multi-process run *bit-identical* to inline
-(the registry claims — and the golden harness enforces — both
-``exact_equivalence`` and ``churn_equivalence``):
+Delivery semantics *are* :class:`~repro.net.batching.BatchingTransport`'s —
+this class subclasses it and inherits the route cache, the outbox, ``post``,
+``pending`` and the dispatch loop — which is what makes the multi-process run
+*bit-identical* to inline, churn included (the golden harness enforces it).
+Only the carrier is added:
 
-* **Request/reply** — the route is resolved through a per-window cache that
-  replays the cached hop charge; the encoded envelope travels to the owner
-  shard's worker as a REQ frame stamped with the connection's next sequence
-  number, and the worker's REP must agree with the coordinator's own view of
-  the endpoint's bound state before the handler runs.
-* **One-way batching** — :meth:`post` queues envelopes per destination (the
-  batching transport's outbox, reused as wire-level message packing);
-  :meth:`flush` first ships every destination's batch to its owner worker as
-  one one-way BATCH frame — all shards decode concurrently — then dispatches
-  locally in sorted-destination order with a per-envelope bound recheck
-  (drop-and-count, never a crash, even when a handler unbinds its own
-  endpoint mid-batch).
+* **Request/reply** — the encoded envelope travels to the owner shard's
+  worker as a REQ frame stamped with the connection's next sequence number,
+  and the worker's REP must agree with the coordinator's own view of the
+  endpoint's bound state before the handler runs.
+* **One-way batching** — the inherited outbox doubles as wire-level message
+  packing: :meth:`flush` first ships every destination's batch to its owner
+  worker as one one-way BATCH frame — all shards decode concurrently — then
+  hands over to the batching flush for the local dispatch.
 
 Handler execution stays in the coordinator: :class:`~repro.core.protocol.\
 ClashSystem` shares mutable server state across shard boundaries (splits,
@@ -46,9 +43,10 @@ import multiprocessing
 import os
 import socket as socket_module
 
+from repro.net.batching import BatchingTransport
 from repro.net.envelope import Delivery, Envelope
 from repro.net.framing import FrameError, encode_value, read_frame, write_frame
-from repro.net.transport import Transport, TransportError
+from repro.net.transport import TransportError
 from repro.net.worker import (
     MSG_BATCH,
     MSG_BIND,
@@ -169,8 +167,9 @@ class _WorkerHandle:
         return counters
 
 
-class SocketTransport(Transport):
-    """Per-shard worker processes speaking length-prefixed msgpack frames."""
+class SocketTransport(BatchingTransport):
+    """The batching plane carried to per-shard worker processes as
+    length-prefixed msgpack frames."""
 
     def __init__(self) -> None:
         if not hasattr(os, "fork"):
@@ -180,11 +179,6 @@ class SocketTransport(Transport):
             )
         super().__init__()
         self._workers: dict[int, _WorkerHandle] = {}
-        self._route_cache: dict[tuple[int, int], tuple[str, int]] = {}
-        self._outbox: dict[str, list[Envelope]] = {}
-        self._deferred = 0
-        self.route_cache_hits = 0
-        self.batches_flushed = 0
         #: Final per-shard counter maps collected from the BYE handshake at
         #: :meth:`close` (tests and the benchmark read them post-run).
         self.final_worker_stats: dict[int, dict] = {}
@@ -241,29 +235,6 @@ class SocketTransport(Transport):
                 handle.send([MSG_UNBIND, name])
 
     # ------------------------------------------------------------------ #
-    # Route coalescing (identical to BatchingTransport)
-    # ------------------------------------------------------------------ #
-
-    def resolve(self, virtual_key) -> tuple[str, int]:
-        """Resolve through the window's route cache (miss → real DHT walk).
-
-        The hop charge is replayed from the cache, so message accounting is
-        bit-identical to inline — the same contract (and proof obligation) as
-        :meth:`repro.net.batching.BatchingTransport.resolve`.
-        """
-        cache_key = (virtual_key.value, virtual_key.width)
-        cached = self._route_cache.get(cache_key)
-        if cached is not None:
-            self.route_cache_hits += 1
-            return cached
-        route = super().resolve(virtual_key)
-        self._route_cache[cache_key] = route
-        return route
-
-    def invalidate_routes(self) -> None:
-        self._route_cache.clear()
-
-    # ------------------------------------------------------------------ #
     # Delivery
     # ------------------------------------------------------------------ #
 
@@ -283,59 +254,28 @@ class SocketTransport(Transport):
         reply = self._dispatch(server, envelope)
         return Delivery(server=server, hops=hops, reply=reply)
 
-    def post(self, envelope: Envelope) -> Delivery:
-        """Queue a one-way envelope for wire-packed delivery at the next flush.
-
-        The route (and the hop charge) is resolved immediately, exactly as
-        the batching transport does, so accounting is flush-schedule
-        independent.
-        """
-        server, hops = self._route(envelope)
-        self._outbox.setdefault(server, []).append(envelope)
-        self._deferred += 1
-        return Delivery(server=server, hops=hops)
-
-    @property
-    def pending(self) -> int:
-        """Number of queued one-way envelopes awaiting the next flush."""
-        return self._deferred
-
     def flush(self) -> int:
         """Ship every destination's batch to its owner worker, then dispatch.
 
         The wire phase sends all BATCH frames before any local dispatch runs:
         each frame is one-way, so every shard's worker decodes its batches in
-        parallel with the others — and with the coordinator's own dispatch
-        loop below.  The dispatch loop is bit-for-bit the (fixed) batching
-        transport's: sorted destinations, per-envelope bound recheck,
-        unbound envelopes dropped and counted.
+        parallel with the others — and with the batching dispatch loop this
+        hands over to.  A destination already unbound gets no frame; the
+        dispatch loop drops and counts its envelopes.
         """
-        outbox, self._outbox = self._outbox, {}
-        self._deferred = 0
-        for server in sorted(outbox):
+        for server, envelopes in sorted(self._outbox.items()):
             if not self.is_bound(server):
-                continue  # dropped (and counted) in the dispatch loop below
+                continue
             handle = self._worker(self._worker_shard(server))
             handle.send(
                 [
                     MSG_BATCH,
                     handle.next_seq(),
                     server,
-                    [encode_value(envelope) for envelope in outbox[server]],
+                    [encode_value(envelope) for envelope in envelopes],
                 ]
             )
-        delivered = 0
-        for server in sorted(outbox):
-            for envelope in outbox[server]:
-                if not self.is_bound(server):
-                    self.dropped_messages += 1
-                    continue
-                self._dispatch(server, envelope)
-                delivered += 1
-        if delivered:
-            self.batches_flushed += 1
-        self._route_cache.clear()
-        return delivered
+        return super().flush()
 
     # ------------------------------------------------------------------ #
     # Lifecycle

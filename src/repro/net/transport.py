@@ -8,14 +8,21 @@ it wraps every exchange in an :class:`~repro.net.envelope.Envelope` and hands
 it to the transport, which makes latency models, event-driven delivery and
 batching a matter of configuration rather than new protocol code paths.
 
-Three interchangeable implementations ship with the package:
+The implementations are declared once, in :data:`repro.net.registry.TRANSPORTS`.
+They differ in *ordering*, *clock* and *carrier* only:
 
 * :class:`~repro.net.inline.InlineTransport` — zero-overhead synchronous
   dispatch, preserving the original direct-call semantics bit for bit.
-* :class:`~repro.net.event.EventTransport` — routes envelopes through a
-  :class:`~repro.sim.engine.SimulationEngine` with a pluggable latency model.
 * :class:`~repro.net.batching.BatchingTransport` — coalesces same-destination
-  envelopes (and DHT route resolutions) per load-check period.
+  envelopes (and DHT route resolutions) per load-check period;
+  :class:`~repro.net.socket_transport.SocketTransport` is the same plane with
+  every envelope also framed and shipped to a per-shard worker process.
+* :class:`~repro.net.event.EventTransport` and
+  :class:`~repro.net.asyncio_transport.AsyncTransport` — the two
+  :class:`TimedTransport` kinds: deliveries are priced by a latency model and
+  happen on a virtual clock (the simulator's shared engine, or a private
+  seeded-shuffle calendar that :class:`~repro.net.replay.ReplayTransport`
+  forces onto a recorded tape).
 """
 
 from __future__ import annotations
@@ -25,12 +32,14 @@ from collections import deque
 from typing import Callable
 
 from repro.net.envelope import Delivery, DhtAddress, Envelope
+from repro.net.latency import LatencyModel, ZeroLatency
 
 __all__ = [
     "DELIVERY_LOG_LIMIT",
     "DeliveryFailed",
     "Handler",
     "RouteResolver",
+    "TimedTransport",
     "Transport",
     "TransportError",
 ]
@@ -123,7 +132,7 @@ class Transport(abc.ABC):
         self.log_deliveries = False
         #: True once :meth:`close` has run.  The simulator closes its
         #: transport deterministically at the end of every run; sweep tests
-        #: assert this flag so a leaked event loop or worker process cannot
+        #: assert this flag so a leaked worker process cannot
         #: ride on garbage-collection timing.
         self.closed = False
 
@@ -274,10 +283,66 @@ class Transport(abc.ABC):
         return 0
 
     def close(self) -> None:
-        """Release any resources the transport holds (event loops, sockets).
+        """Release any resources the transport holds (worker processes).
 
-        Most transports hold none; the asyncio transport closes its event
-        loop here and the socket transport shuts down its worker processes.
-        Safe to call more than once.  Subclasses must call ``super().close()``
-        so :attr:`closed` flips for every implementation."""
+        Most transports hold none; the socket transport shuts down its worker
+        processes here.  Safe to call more than once.  Subclasses must call
+        ``super().close()`` so :attr:`closed` flips for every implementation."""
         self.closed = True
+
+
+class TimedTransport(Transport):
+    """What the virtual-time transports share: a latency model, the samples
+    it produced, and the arrival step of a delivery.
+
+    The calendars stay with the subclasses — the event transport's is the
+    simulator's shared engine, the async transport's a private seeded-shuffle
+    heap — so this class defines no ``request``/``post``/``flush`` of its own.
+
+    Args:
+        latency: Prices each delivery in seconds of virtual time (defaults to
+            :class:`~repro.net.latency.ZeroLatency`, which preserves inline
+            metric equivalence bit for bit).
+    """
+
+    def __init__(self, latency: LatencyModel | None = None) -> None:
+        super().__init__()
+        self._latency = latency if latency is not None else ZeroLatency()
+        self._latency_samples: list[float] = []
+
+    @property
+    def latency_model(self) -> LatencyModel:
+        """The current latency model."""
+        return self._latency
+
+    def set_latency_model(self, latency: LatencyModel) -> None:
+        """Swap the latency model (scenario phases may override it)."""
+        self._latency = latency
+
+    def drain_latency_samples(self) -> list[float]:
+        """Per-delivery (one-way) latencies recorded since the last drain.
+
+        A request/reply exchange contributes two samples — the forward leg
+        and the reply leg — so the mean is a per-message delivery latency,
+        commensurate with the one-way samples posts record.  A request that
+        died on the forward leg contributes that leg only.
+        """
+        samples = self._latency_samples
+        self._latency_samples = []
+        return samples
+
+    def _arrived(self, now: float, server: str, envelope: Envelope) -> bool:
+        """Record an envelope reaching ``server`` at ``now``; False if it is lost.
+
+        An endpoint unbound after the send (the server failed with this
+        envelope in flight) loses it like a real network would: the drop is
+        counted and the caller forgets a one-way post or raises
+        :class:`DeliveryFailed` to a waiting requester.  Only that case is a
+        drop — a *handler* raising is a programming error and propagates.
+        """
+        if self.log_deliveries:
+            self.delivery_log.append((now, server, type(envelope.payload).__name__))
+        if server in self._handlers:
+            return True
+        self.dropped_messages += 1
+        return False

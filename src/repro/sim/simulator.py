@@ -82,7 +82,7 @@ class SimulationParams:
             :data:`repro.net.TRANSPORT_KINDS`: ``"inline"`` (synchronous, the
             seed semantics), ``"event"`` (event-kernel delivery with
             simulated latency), ``"batching"`` (per-period coalescing),
-            ``"async"`` (asyncio event loop with awaitable handlers),
+            ``"async"`` (seeded-shuffle virtual-time calendar),
             ``"replay"`` (recorded delivery schedules) or ``"socket"``
             (one worker process per shard over msgpack frames).
         link_latency: Base one-way message latency in seconds (transports
@@ -94,10 +94,7 @@ class SimulationParams:
             transports only).
         shards: Number of independent Chord rings the key space is
             partitioned across (power of two; ``1`` = the paper's single
-            global ring, bit-identical to the pre-sharding behaviour).  The
-            selected transport must be shard-aware
-            (:attr:`repro.net.registry.TransportSpec.shard_aware`) when
-            ``shards > 1``.
+            global ring, bit-identical to the pre-sharding behaviour).
         force_full_stabilise: Force every ring onto the from-scratch
             stabilisation path instead of the incremental repair.  Routing
             outcomes are identical either way (the incremental repair is
@@ -196,11 +193,6 @@ verify_invariants` after every membership event and at every period
             raise ValueError(
                 f"cannot spread {self.server_count} servers over {self.shards} "
                 "shards; every shard needs at least one server"
-            )
-        if self.shards > 1 and not transport_spec(self.transport).shard_aware:
-            raise ValueError(
-                f"transport {self.transport!r} is not shard-aware; "
-                "sharded runs need per-shard endpoint namespacing"
             )
         if self.partition not in PARTITION_KINDS:
             raise ValueError(
@@ -341,8 +333,8 @@ class FlowSimulator:
             ready_stream = seeds.stream("async-ready")
         # The registry decides the execution model: transports that need the
         # discrete-event engine get one (and scenario churn runs on it);
-        # clock-less transports — and the async transport, which owns its own
-        # asyncio loop and virtual clock — drain churn at period boundaries.
+        # clock-less transports — and the async transport, which keeps its own
+        # calendar and virtual clock — drain churn at period boundaries.
         self._engine = (
             SimulationEngine() if transport_spec(params.transport).needs_engine else None
         )
@@ -1002,7 +994,7 @@ class FlowSimulator:
         """Run the full scenario and return the collected metrics.
 
         The transport is closed deterministically when the run ends —
-        success or failure — so event loops and worker processes never
+        success or failure — so worker processes never
         outlive the simulation waiting for garbage collection (callers may
         still close again; :meth:`~repro.net.transport.Transport.close` is
         idempotent).

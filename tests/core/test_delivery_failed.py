@@ -213,7 +213,7 @@ class TestEndToEndChurnWithLatency:
         assert sum(s.server_joins for s in samples) > 0
 
     def test_async_transport_survives_boundary_churn_with_latency(self):
-        """The asyncio transport under the same stress (period-boundary
+        """The async transport under the same stress (period-boundary
         churn + non-zero latency) also completes cleanly."""
         from repro.experiments.runner import ExperimentScale
 

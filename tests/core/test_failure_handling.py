@@ -96,3 +96,41 @@ class TestServerFailure:
         orphaned = len(system.server(victim).active_groups())
         system.handle_server_failure(victim)
         assert system.messages.total() >= 2 * orphaned
+
+
+class TestDepartedServerIsForgotten:
+    """``_untrack_server`` and the oracle that watches it (invariant 6)."""
+
+    def test_no_index_names_the_victim_after_a_failure(self, system: ClashSystem):
+        _split_some_groups(system, 10)
+        system.run_load_check()
+        victim = system.active_servers()[0]
+        system.handle_server_failure(victim)
+        system.verify_invariants()
+        assert victim not in system.sorted_server_names()
+
+    @pytest.mark.parametrize(
+        "index, forget",
+        [
+            ("_dirty_load_servers", lambda s, v: s._dirty_load_servers.add(v)),
+            ("_dirty_split", lambda s, v: s._dirty_split.add(v)),
+            ("_dirty_merge", lambda s, v: s._dirty_merge.add(v)),
+            ("_dirty_reports", lambda s, v: s._dirty_reports.add(v)),
+            ("_load_flags", lambda s, v: s._load_flags.__setitem__(v, (False, False))),
+            ("_server_order", lambda s, v: s._server_order.__setitem__(v, -1)),
+            ("_order_names", lambda s, v: s._order_names.__setitem__(-1, v)),
+            ("_sorted_names", lambda s, v: s._sorted_names.append(v)),
+            ("_delivered_reports", lambda s, v: s._delivered_reports.__setitem__(v, [])),
+        ],
+    )
+    def test_a_skipped_discard_fails_the_invariant_pass(
+        self, system: ClashSystem, index, forget
+    ):
+        """Mutation check: leave the victim behind in one index — what a
+        forgotten line in ``_untrack_server`` would do — and the oracle must
+        name that index."""
+        victim = system.active_servers()[0]
+        system.handle_server_failure(victim)
+        forget(system, victim)
+        with pytest.raises(AssertionError, match=f"{index}.* still names departed"):
+            system.verify_invariants()

@@ -2,11 +2,10 @@
 
 ``golden_seed.json`` was captured from the seed implementation *before* the
 transport refactor: a small flow-simulation run plus a depth-search trace on a
-skew-split deployment.  Any transport whose registry entry claims
-``exact_equivalence`` must reproduce those golden numbers — and inline
-``PeriodSample`` streams bit for bit — on the reference workloads; transports
-claiming ``churn_equivalence`` must stay bit-identical under period-boundary
-membership churn too.
+skew-split deployment.  Every registered transport must reproduce those
+golden numbers — and inline ``PeriodSample`` streams bit for bit — on the
+reference workloads; transports claiming ``churn_equivalence`` must stay
+bit-identical under period-boundary membership churn too.
 
 The helpers here are deliberately transport-agnostic so the equivalence tests
 parametrize over :data:`repro.net.TRANSPORTS` instead of hand-maintaining a

@@ -1,15 +1,17 @@
-"""Unit tests for the asyncio transport (repro.net.asyncio_transport)."""
+"""Unit tests for the async transport (repro.net.asyncio_transport)."""
 
 from __future__ import annotations
 
-import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core.protocol import AwaitableHandler
 from repro.net.asyncio_transport import AsyncTransport
 from repro.net.envelope import DhtAddress, Envelope
-from repro.net.latency import ConstantLatency, UniformLatency
+from repro.net.latency import ConstantLatency, PerHopLatency, UniformLatency
 from repro.net.transport import DeliveryFailed, TransportError
 from repro.util.rng import RandomStream
 
@@ -55,21 +57,6 @@ class TestAsyncDelivery:
         assert delivery.reply == "pong"
         assert delivery.server == "srv"
         assert handler.received[0].payload == "ping"
-
-    def test_awaitable_handler_is_awaited(self, transport):
-        received = []
-
-        async def handler(envelope: Envelope):
-            await asyncio.sleep(0)  # a genuine suspension point
-            received.append(envelope.payload)
-            return "async-pong"
-
-        transport.bind("srv", handler)
-        delivery = transport.request(
-            Envelope(source="cli", destination="srv", payload="ping")
-        )
-        assert delivery.reply == "async-pong"
-        assert received == ["ping"]
 
     def test_posts_are_deferred_until_flush(self, transport):
         handler = _Recorder()
@@ -119,27 +106,58 @@ class TestAsyncDelivery:
             transport.close()
 
     def test_handler_error_on_a_post_surfaces_at_flush(self, transport):
+        """The erroring post shares a batch with two healthy ones: all three
+        are delivered, then the error is raised — once."""
+        survivor = _Recorder()
+
+        def broken(envelope: Envelope):
+            raise RuntimeError("handler blew up")
+
+        transport.bind("broken", broken)
+        transport.bind("survivor", survivor)
+        transport.post(Envelope(source="cli", destination="broken", payload=0))
+        transport.post(Envelope(source="cli", destination="survivor", payload=1))
+        transport.post(Envelope(source="cli", destination="survivor", payload=2))
+        with pytest.raises(RuntimeError, match="handler blew up"):
+            transport.flush()
+        assert [e.payload for e in survivor.received] == [1, 2]
+        assert transport.flush() == 0
+
+    def test_request_handler_error_goes_to_the_requester(self, transport):
         def broken(envelope: Envelope):
             raise RuntimeError("handler blew up")
 
         transport.bind("srv", broken)
-        transport.post(Envelope(source="cli", destination="srv", payload=1))
         with pytest.raises(RuntimeError, match="handler blew up"):
-            transport.flush()
+            transport.request(Envelope(source="cli", destination="srv", payload=1))
+        assert transport.flush() == 0
 
-    def test_stalls_loudly_when_waiting_on_an_empty_calendar(self, transport):
-        transport.bind("srv", _Recorder())
-        with pytest.raises(TransportError, match="stalled"):
-            transport._step(lambda: False)
+    def test_waiting_from_inside_a_handler_fails_loudly(self, transport):
+        """A handler that calls back into ``request`` would wait on a calendar
+        nobody is draining; the transport refuses instead of stalling, and the
+        refusal reaches the original requester as the handler's error."""
+        transport.bind("other", _Recorder(reply="pong"))
+
+        def reentrant(envelope: Envelope):
+            return transport.request(
+                Envelope(source="srv", destination="other", payload="nested")
+            )
+
+        transport.bind("srv", reentrant)
+        with pytest.raises(TransportError, match="re-entrant"):
+            transport.request(Envelope(source="cli", destination="srv", payload=1))
+        # The transport is usable afterwards; the nested envelope is still due.
+        assert transport.flush() == 1
 
     def test_close_is_idempotent(self):
         transport = AsyncTransport()
         transport.bind("srv", _Recorder())
         transport.post(Envelope(source="cli", destination="srv", payload=1))
         transport.flush()
+        assert not transport.closed
         transport.close()
         transport.close()
-        assert transport.loop.is_closed()
+        assert transport.closed
 
 
 class TestAsyncFailureSemantics:
@@ -157,19 +175,29 @@ class TestAsyncFailureSemantics:
     def test_request_to_endpoint_unbound_mid_flight_raises_delivery_failed(self):
         """The typed mid-flight cancellation: the destination fails while the
         request is travelling, the exchange is cancelled and counted."""
-        transport = AsyncTransport(latency=ConstantLatency(1.0))
+        doomed = _Recorder(reply="never")
+        latency = PerHopLatency(base=1.0, per_hop=1.0)
+        transport = AsyncTransport(latency=latency)
         try:
-            transport.bind("doomed", _Recorder(reply="never"))
-            envelope = Envelope(source="cli", destination="doomed", payload="req")
-            server, _hops = transport._route(envelope)
-            future = transport.loop.create_future()
-            transport._schedule(server, envelope, delay=1.0, reply=future)
-            transport.unbind("doomed")
+            transport.bind("doomed", doomed)
+            transport.bind("killer", lambda envelope: transport.unbind("doomed"))
+            # The request resolves through the DHT (3 hops: ready at t=4); the
+            # directly-addressed post is ready at t=1 and its handler fails
+            # the request's destination while the request is still travelling.
+            transport.set_resolver(lambda key: _FakeLookup("doomed", 3))
+            transport.post(Envelope(source="cli", destination="killer", payload="kill"))
             with pytest.raises(DeliveryFailed) as failure:
-                transport._step(lambda: future.done())
-                raise future.exception()
+                transport.request(
+                    Envelope(source="cli", destination=DhtAddress(_FakeKey(5)), payload="req")
+                )
             assert failure.value.destination == "doomed"
             assert transport.dropped_messages == 1
+            assert doomed.received == []
+            assert transport.now == pytest.approx(4.0)  # no reply leg
+            assert transport.drain_latency_samples() == [
+                pytest.approx(1.0),  # the post
+                pytest.approx(4.0),  # the request's forward leg only
+            ]
         finally:
             transport.close()
 
@@ -244,26 +272,25 @@ class TestAsyncDeterminism:
         assert zero_latency_run(1) == zero_latency_run(1)
 
 
-class TestAwaitableHandlerBridge:
-    def test_sync_call_path_is_plain_dispatch(self):
-        bridge = AwaitableHandler(lambda envelope: ("reply", envelope.payload))
-        assert bridge(Envelope(source="a", destination="b", payload=7)) == ("reply", 7)
-
-    def test_async_side_unwraps_awaitable_results(self):
-        async def coroutine_handler(envelope: Envelope):
-            await asyncio.sleep(0)
-            return ("async-reply", envelope.payload)
-
-        bridge = AwaitableHandler(coroutine_handler)
-        result = asyncio.run(
-            bridge.handle_async(Envelope(source="a", destination="b", payload=9))
+class TestNoEventLoop:
+    def test_an_async_run_never_imports_asyncio(self, tmp_path):
+        """The transport kept its name, not its event loop: a whole
+        ``--transport async`` run finishes without asyncio being imported."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(['fig4', '--scale-factor', '100', '--phase-periods', '2',\n"
+            "             '--transport', 'async', '--quiet', '--output-dir', sys.argv[1]])\n"
+            "assert not code, code\n"
+            "assert 'repro.net.asyncio_transport' in sys.modules\n"
+            "assert 'asyncio' not in sys.modules, 'asyncio was imported'\n"
         )
-        assert result == ("async-reply", 9)
-
-    def test_sync_call_of_a_coroutine_handler_fails_loudly(self):
-        async def coroutine_handler(envelope: Envelope):
-            return "unreachable"
-
-        bridge = AwaitableHandler(coroutine_handler)
-        with pytest.raises(TransportError, match="awaitable"):
-            bridge(Envelope(source="a", destination="b", payload=1))
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr

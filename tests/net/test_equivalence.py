@@ -1,8 +1,8 @@
 """Transport equivalence and integration tests.
 
 Parametrized over the :data:`repro.net.TRANSPORTS` registry: every transport
-claiming ``exact_equivalence`` must reproduce the golden seed capture and
-inline ``PeriodSample`` streams bit for bit on the reference workloads, and
+must reproduce the golden seed capture and inline ``PeriodSample`` streams
+bit for bit on the reference workloads, and
 every transport claiming ``churn_equivalence`` must stay bit-identical under
 Poisson membership churn.  The shared machinery lives in
 ``tests/net/equivalence.py``; registering a new transport automatically
@@ -33,7 +33,7 @@ from repro.net.event import EventTransport
 from repro.sim.simulator import FlowSimulator, SimulationParams
 from repro.workload.scenario import churn_latency_scenario
 
-EXACT_KINDS = [kind for kind, spec in TRANSPORTS.items() if spec.exact_equivalence]
+ALL_KINDS = list(TRANSPORTS)
 CHURN_KINDS = [kind for kind, spec in TRANSPORTS.items() if spec.churn_equivalence]
 
 
@@ -63,7 +63,7 @@ def inline_reference(golden):
 class TestGoldenEquivalence:
     """Every exact-equivalence transport against the seed capture."""
 
-    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_depth_search_trace_matches_seed(self, kind, golden):
         system, splits, config = build_traced_system(make_transport(kind))
         try:
@@ -71,7 +71,7 @@ class TestGoldenEquivalence:
         finally:
             system.transport.close()
 
-    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_flow_simulation_matches_seed_metrics(self, kind, golden):
         scale = reference_scale(golden)
         result = run_flow(kind, scale, scale.scenario())
@@ -81,7 +81,7 @@ class TestGoldenEquivalence:
 class TestReferenceWorkloadEquivalence:
     """PeriodSample streams must be bit-identical to inline."""
 
-    @pytest.mark.parametrize("kind", [k for k in EXACT_KINDS if k != "inline"])
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k != "inline"])
     @pytest.mark.parametrize("workload", REFERENCE_WORKLOADS)
     def test_reference_workload_bit_identical(
         self, kind, workload, golden, inline_reference

@@ -56,9 +56,7 @@ class TestReplayTransport:
     def test_registered_in_the_transport_registry(self):
         spec = TRANSPORTS["replay"]
         assert spec.models_time
-        assert spec.exact_equivalence
         assert spec.churn_equivalence
-        assert spec.shard_aware
         built = build_transport("replay")
         try:
             assert isinstance(built, ReplayTransport)

@@ -38,9 +38,8 @@ from repro.dht.router import ShardedRingRouter, SingleRingRouter
 from repro.net import TRANSPORTS
 from repro.util.rng import RandomStream
 
-EXACT_KINDS = [kind for kind, spec in TRANSPORTS.items() if spec.exact_equivalence]
+ALL_KINDS = list(TRANSPORTS)
 CHURN_KINDS = [kind for kind, spec in TRANSPORTS.items() if spec.churn_equivalence]
-SHARD_KINDS = [kind for kind, spec in TRANSPORTS.items() if spec.shard_aware]
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ class TestSingleShardIsTheSeed:
         # The back-compat single-ring accessor still works.
         assert len(system.ring) == 8
 
-    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_depth_search_trace_matches_seed(self, kind, golden):
         """The golden depth-search trace, replayed on an explicit shards=1
         system, transport by transport."""
@@ -97,7 +96,6 @@ class TestShardedChurnInvariants:
         """verify_after_membership runs the full invariant battery — shard
         registration and parent-link locality included — after every join
         and failure of the churn scenario."""
-        assert kind in SHARD_KINDS
         scale = reference_scale(golden)
         result = run_flow(
             kind, scale, churn_scenario(scale), verify_membership=True, shards=4
@@ -134,10 +132,10 @@ class TestStaticPartitionIsTheGolden:
     ``partition="static"`` routes every shard decision through an explicit
     :class:`~repro.dht.partition.StaticPrefixPartition` instead of the old
     hard-coded top-bits rule; a sharded run spelt either way must stay
-    bit-identical on every shard-aware transport — with and without churn.
+    bit-identical on every transport — with and without churn.
     """
 
-    @pytest.mark.parametrize("kind", SHARD_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sharded_flow_bit_identical_to_the_default(self, kind, golden):
         scale = reference_scale(golden)
         scenario = scale.scenario()
@@ -147,7 +145,7 @@ class TestStaticPartitionIsTheGolden:
         assert all(s.partition_version == 0 for s in result.metrics.samples)
         assert all(s.groups_migrated == 0 for s in result.metrics.samples)
 
-    @pytest.mark.parametrize("kind", SHARD_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sharded_churn_bit_identical_to_the_default(self, kind, golden):
         scale = reference_scale(golden)
         scenario = churn_scenario(scale)

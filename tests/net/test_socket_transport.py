@@ -55,6 +55,22 @@ def transport():
     built.close()
 
 
+class TestBuiltOnBatching:
+    def test_the_plane_is_inherited_not_copied(self):
+        """One copy of the route cache, outbox and dispatch loop: the socket
+        transport adds the carrier (``request``, ``flush``, the bound-state
+        mirror, the lifecycle) and nothing else."""
+        from repro.net.batching import BatchingTransport
+        from repro.net.socket_transport import SocketTransport
+
+        assert issubclass(SocketTransport, BatchingTransport)
+        own = vars(SocketTransport)
+        for inherited in ("post", "resolve", "pending", "invalidate_routes", "_route"):
+            assert inherited not in own
+            assert getattr(SocketTransport, inherited) is getattr(BatchingTransport, inherited)
+        assert {"request", "flush"} <= own.keys()
+
+
 class TestDelivery:
     def test_request_reply_round_trip(self, transport):
         reply = AcceptObjectReply(status=ReplyStatus.OK, server="srv", correct_depth=3)
