@@ -118,10 +118,13 @@ perf:
 # which side goes first on one fresh seed a pair, and every end-to-end metric
 # gets its medians, quartiles, pairs won and a gain / within bound /
 # unresolved / REGRESSION verdict.  WORKLOAD empty = all seven (~50 min).
-#   make perf-compare BASE=HEAD~1 WORKLOAD=membership_storm PAIRS=10
+# LAYERS=1 adds one traced run a side per workload, printed layer by layer,
+# and fails when a simulated counter or a round digest differs.
+#   make perf-compare BASE=HEAD~1 WORKLOAD=membership_storm PAIRS=10 LAYERS=1
 BASE ?= HEAD
 WORKLOAD ?=
 PAIRS ?= 10
 perf-compare:
 	python3 tools/perf_compare.py --base $(BASE) --pairs $(PAIRS) \
-		$(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED))
+		$(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED)) \
+		$(if $(LAYERS),--layers)

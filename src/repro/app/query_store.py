@@ -44,19 +44,13 @@ class QueryStore:
 
     def __init__(self) -> None:
         self._queries: dict[int, Query] = {}
-        #: Monotonic counter bumped by every mutation.  Load caches key on
-        #: it (a plain attribute: the staleness probe is extremely hot): a
-        #: server's cached per-group loads stay valid exactly as long as the
-        #: store (and the other load inputs) have not changed.
-        self.version = 0
         #: Optional zero-argument callback fired on every mutation.  The
-        #: owning server hooks this (like ``ServerTable.on_change``) so load
-        #: staleness is pushed at mutation time instead of being re-derived
-        #: from the version counters on every read.
+        #: owning server hooks this (like ``ServerTable.on_change``): its
+        #: cached per-group loads stay valid exactly until the store (or
+        #: another load input) pushes a change.
         self.on_change = None
 
-    def _bump(self) -> None:
-        self.version += 1
+    def _changed(self) -> None:
         if self.on_change is not None:
             self.on_change()
 
@@ -71,7 +65,7 @@ class QueryStore:
         if query.query_id in self._queries:
             raise ValueError(f"query id {query.query_id} is already registered")
         self._queries[query.query_id] = query
-        self._bump()
+        self._changed()
 
     def add_all(self, queries: list[Query]) -> None:
         """Register several queries."""
@@ -82,7 +76,7 @@ class QueryStore:
         """Deregister and return a query."""
         if query_id not in self._queries:
             raise KeyError(f"no query with id {query_id}")
-        self._bump()
+        self._changed()
         return self._queries.pop(query_id)
 
     def queries(self) -> list[Query]:
@@ -105,7 +99,7 @@ class QueryStore:
         for query in moving:
             del self._queries[query.query_id]
         if moving:
-            self._bump()
+            self._changed()
         return moving
 
     def expire(self, now: float) -> list[Query]:
@@ -114,5 +108,5 @@ class QueryStore:
         for query in expired:
             del self._queries[query.query_id]
         if expired:
-            self._bump()
+            self._changed()
         return expired

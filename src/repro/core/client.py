@@ -244,6 +244,8 @@ class ClashClient:
 
         Falls back to any untried depth when the window is fully explored.
         """
+        if low <= estimate <= high and estimate not in tried:
+            return estimate  # distance 0: what the rule below would pick
         candidates = [d for d in range(low, high + 1) if d not in tried]
         if not candidates:
             candidates = [d for d in range(0, max(high, low) + 1) if d not in tried]

@@ -103,9 +103,8 @@ class ClashServer:
         # load inputs (rates/overrides, the table, the query store) changed.
         # Staleness is *pushed* at mutation time (rate setters call
         # _mark_loads_dirty directly; the table and query store fire their
-        # on_change hooks), so the read path is a single bool test instead of
-        # re-summing three version counters per call — _current_loads runs
-        # millions of times per paper-scale run.
+        # on_change hooks), so the read path is a single bool test —
+        # _current_loads runs millions of times per paper-scale run.
         self._loads_dirty = True
         self._loads_epoch = 0
         self._loads_cache: dict[KeyGroup, GroupLoad] = {}

@@ -28,6 +28,7 @@ version through :class:`~repro.core.protocol.ClashSystem`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from repro.keys.identifier import IdentifierKey
@@ -91,27 +92,25 @@ class ServerTable:
             raise ValueError(f"key_bits must be positive, got {key_bits}")
         self._key_bits = key_bits
         self._entries: dict[KeyGroup, ServerTableEntry] = {}
-        #: Monotonic counter bumped by every table mutation.  The owning
-        #: server keys its per-group load cache on it (a plain attribute, not
-        #: a property — the staleness probe is extremely hot).  Flipping an
-        #: entry's ``active`` flag outside the table's own mutators would
-        #: bypass the counter, which is why all active-ness changes go
-        #: through :meth:`record_split` / :meth:`record_consolidation`.
-        self.version = 0
-        #: Optional zero-argument callback fired on every mutation (i.e. every
-        #: ``version`` bump).  The owning server hooks this to flag its load
-        #: cache dirty the moment the table changes, instead of re-deriving
-        #: staleness from the version counters on every read — the read path
-        #: is orders of magnitude hotter than the mutation path.
+        # The rows as ``(virtual-key value, depth, group)``, in the order
+        # ``KeyGroup.__lt__`` defines (a prefix sorts before its extensions),
+        # kept by bisection on every mutation: every row, and the active rows
+        # alone.  Both queries of the ACCEPT_OBJECT handler and every ordered
+        # view read these lists.  Active-ness therefore changes only through
+        # :meth:`record_split` / :meth:`record_consolidation`, never by
+        # flipping an entry's ``active`` flag from outside.
+        self._rows: list[tuple[int, int, KeyGroup]] = []
+        self._active: list[tuple[int, int, KeyGroup]] = []
+        #: Optional zero-argument callback fired on every mutation.  The
+        #: owning server hooks this to flag its load cache dirty the moment
+        #: the table changes — the read path is orders of magnitude hotter
+        #: than the mutation path.
         self.on_change = None
-        self._active_cache: list[KeyGroup] | None = None
-        self._sorted_cache: list[KeyGroup] | None = None
-        self._active_count = 0
 
-    def _invalidate(self) -> None:
-        self.version += 1
-        self._active_cache = None
-        self._sorted_cache = None
+    def _row(self, group: KeyGroup) -> tuple[int, int, KeyGroup]:
+        return (group.prefix << (self._key_bits - group.depth), group.depth, group)
+
+    def _changed(self) -> None:
         if self.on_change is not None:
             self.on_change()
 
@@ -131,15 +130,9 @@ class ServerTable:
         return group in self._entries
 
     def entries(self) -> list[ServerTableEntry]:
-        """All rows, sorted by virtual key then depth (stable for reporting).
-
-        The sort order is maintained across reads: it only needs recomputing
-        after a row is inserted or removed.
-        """
-        if self._sorted_cache is None:
-            self._sorted_cache = sorted(self._entries)
+        """All rows, sorted by virtual key then depth (stable for reporting)."""
         entries = self._entries
-        return [entries[group] for group in self._sorted_cache]
+        return [entries[group] for _value, _depth, group in self._rows]
 
     def entry(self, group: KeyGroup) -> ServerTableEntry:
         """The row for ``group`` (raises :class:`KeyError` if absent)."""
@@ -148,25 +141,17 @@ class ServerTable:
         return self._entries[group]
 
     def active_groups(self) -> list[KeyGroup]:
-        """The groups this server currently manages (the leaves).
-
-        The sorted list is maintained incrementally: it is rebuilt only after
-        a table mutation, so the very hot load-check path (which reads it many
-        times between mutations) pays the sort once.
-        """
-        if self._active_cache is None:
-            self._active_cache = sorted(
-                group for group, entry in self._entries.items() if entry.active
-            )
-        return list(self._active_cache)
+        """The groups this server currently manages (the leaves), sorted."""
+        return [group for _value, _depth, group in self._active]
 
     def has_active_groups(self) -> bool:
         """True if at least one entry is active (O(1))."""
-        return self._active_count > 0
+        return bool(self._active)
 
     def inactive_groups(self) -> list[KeyGroup]:
         """Previously split groups retained as interior bookkeeping rows."""
-        return sorted(group for group, entry in self._entries.items() if not entry.active)
+        entries = self._entries
+        return [group for _value, _depth, group in self._rows if not entries[group].active]
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -186,27 +171,31 @@ class ServerTable:
             )
         if group in self._entries:
             raise ValueError(f"group {group} already has a table entry")
+        row = self._row(group)
         if entry.active:
-            for existing_group, existing in self._entries.items():
-                if not existing.active:
-                    continue
-                if existing_group.overlaps(group):
+            # Only the two neighbours in the active order can overlap the new
+            # row (the adjacency argument of ``first_overlapping_pair``).
+            at = bisect_left(self._active, row)
+            for _value, _depth, existing in self._active[max(at - 1, 0) : at + 1]:
+                if existing.overlaps(group):
                     raise ValueError(
-                        f"active group {group} overlaps existing active group {existing_group}"
+                        f"active group {group} overlaps existing active group {existing}"
                     )
+            self._active.insert(at, row)
+        insort(self._rows, row)
         self._entries[group] = entry
-        if entry.active:
-            self._active_count += 1
-        self._invalidate()
+        self._changed()
 
     def remove_entry(self, group: KeyGroup) -> ServerTableEntry:
         """Remove and return the row for ``group``."""
         if group not in self._entries:
             raise KeyError(f"no table entry for group {group}")
         removed = self._entries.pop(group)
+        row = self._row(group)
+        del self._rows[bisect_left(self._rows, row)]
         if removed.active:
-            self._active_count -= 1
-        self._invalidate()
+            del self._active[bisect_left(self._active, row)]
+        self._changed()
         return removed
 
     def record_split(self, group: KeyGroup, right_child_server: str) -> tuple[KeyGroup, KeyGroup]:
@@ -214,16 +203,19 @@ class ServerTable:
 
         The row for ``group`` becomes inactive with ``RightChildID`` set; a new
         active row is created for the left child with ``ParentID = "self"``.
-        Returns the (left, right) child groups.
+        Returns the (left, right) child groups.  A refused split leaves the
+        table as it was.
         """
         entry = self.entry(group)
         if not entry.active:
             raise ValueError(f"cannot split inactive group {group}")
         left, right = group.split()
+        if left in self._entries:
+            raise ValueError(f"cannot split {group}: left child {left} already has a table entry")
         entry.active = False
-        self._active_count -= 1
-        self._invalidate()
         entry.right_child_id = right_child_server
+        del self._active[bisect_left(self._active, self._row(group))]
+        # The parent was active, so nothing active overlaps its left half.
         self.add_entry(ServerTableEntry(group=left, parent_id=SELF_PARENT))
         return left, right
 
@@ -232,7 +224,8 @@ class ServerTable:
 
         The left child's row (held locally) is removed, the parent row becomes
         active again and its ``RightChildID`` is cleared.  Returns the left
-        child group that was removed.
+        child group that was removed.  A refused consolidation leaves the
+        table as it was.
         """
         entry = self.entry(parent_group)
         if entry.active:
@@ -242,16 +235,22 @@ class ServerTable:
             raise KeyError(
                 f"cannot consolidate {parent_group}: left child {left} is not in the table"
             )
-        left_entry = self._entries[left]
-        if not left_entry.active:
+        if not self._entries[left].active:
             raise ValueError(
                 f"cannot consolidate {parent_group}: left child {left} has itself been split"
             )
+        row = self._row(entry.group)  # the stored object, not the caller's equal one
+        at = bisect_left(self._active, row)  # the left child's slot: same value, one deeper
+        if at + 1 < len(self._active) and parent_group.contains_group(self._active[at + 1][2]):
+            raise ValueError(
+                f"cannot consolidate {parent_group}: active group {self._active[at + 1][2]} "
+                f"is still held under its right half"
+            )
         self.remove_entry(left)
         entry.active = True
-        self._active_count += 1
-        self._invalidate()
         entry.right_child_id = None
+        self._active.insert(at, row)
+        self._changed()
         return left
 
     # ------------------------------------------------------------------ #
@@ -262,14 +261,19 @@ class ServerTable:
         """The active group containing ``key``, or ``None`` if no leaf matches.
 
         At most one active group can match because active groups are mutually
-        prefix-free.
+        prefix-free — and for the same reason no active row can sort between a
+        containing group and the key, so the match is the key's predecessor
+        in the active order or nothing.
         """
-        if key.width != self._key_bits:
+        key_bits = self._key_bits
+        if key.width != key_bits:
             raise ValueError(
-                f"key width {key.width} does not match table key_bits {self._key_bits}"
+                f"key width {key.width} does not match table key_bits {key_bits}"
             )
-        for group, entry in self._entries.items():
-            if entry.active and group.contains_key(key):
+        at = bisect_right(self._active, (key.value, key_bits + 1))
+        if at:
+            value, depth, group = self._active[at - 1]
+            if (key.value ^ value) >> (key_bits - depth) == 0:
                 return group
         return None
 
@@ -279,16 +283,19 @@ class ServerTable:
         This is the ``d_min`` value an ``INCORRECT_DEPTH`` reply carries; the
         client uses it to narrow its binary search.  Inactive rows count too —
         they tell the client that the group has been split to a greater depth.
+        A row matches in ``min(common prefix with its virtual key, depth)``
+        bits, which only falls moving away from the key's insertion point in
+        row order, so its two neighbours there decide the answer.
         """
-        if key.width != self._key_bits:
+        key_bits = self._key_bits
+        if key.width != key_bits:
             raise ValueError(
-                f"key width {key.width} does not match table key_bits {self._key_bits}"
+                f"key width {key.width} does not match table key_bits {key_bits}"
             )
+        at = bisect_right(self._rows, (key.value, key_bits + 1))
         best = 0
-        for group in self._entries:
-            virtual = group.virtual_key
-            match = min(key.common_prefix_length(virtual), group.depth)
-            best = max(best, match)
+        for value, depth, _group in self._rows[max(at - 1, 0) : at + 1]:
+            best = max(best, min(key_bits - (key.value ^ value).bit_length(), depth))
         return best
 
     # ------------------------------------------------------------------ #
@@ -297,10 +304,16 @@ class ServerTable:
 
     def check_invariants(self) -> None:
         """Raise :class:`AssertionError` if any local invariant is violated."""
-        active = [group for group, entry in self._entries.items() if entry.active]
-        pair = first_overlapping_pair(active)
+        entries = self._entries
+        assert self._rows == sorted(self._row(group) for group in entries), (
+            "the ordered rows disagree with the entries"
+        )
+        assert self._active == [row for row in self._rows if entries[row[2]].active], (
+            "the ordered active rows disagree with the entries' flags"
+        )
+        pair = first_overlapping_pair(group for _value, _depth, group in self._active)
         assert pair is None, f"active groups {pair[0]} and {pair[1]} overlap"
-        for group, entry in self._entries.items():
+        for group, entry in entries.items():
             if not entry.active:
                 assert entry.right_child_id is not None, (
                     f"inactive group {group} must record its right child"

@@ -151,6 +151,35 @@ class TestDepthSearch:
         assert result.probe_depths[0] == 9
 
 
+def next_untried_by_the_list_rule(estimate: int, low: int, high: int, tried: set[int]) -> int:
+    """The rule ``ClashClient._next_untried`` short-cuts: build every
+    candidate, take the closest to ``estimate``, the shallower on a tie."""
+    candidates = [d for d in range(low, high + 1) if d not in tried]
+    if not candidates:
+        candidates = [d for d in range(0, max(high, low) + 1) if d not in tried]
+    if not candidates:
+        raise RuntimeError("no untried depths remain")
+    return min(candidates, key=lambda d: (abs(d - estimate), d))
+
+
+class TestNextUntried:
+    def test_agrees_with_the_list_rule_on_every_small_input(self):
+        depths = range(5)  # a 4-bit key space: depths 0..4
+        for mask in range(1 << len(depths)):
+            tried = {d for d in depths if mask >> d & 1}
+            for estimate in depths:
+                for low in depths:
+                    for high in depths:
+                        arguments = (estimate, low, high, tried)
+                        try:
+                            expected = next_untried_by_the_list_rule(*arguments)
+                        except RuntimeError:
+                            with pytest.raises(RuntimeError):
+                                ClashClient._next_untried(*arguments)
+                        else:
+                            assert ClashClient._next_untried(*arguments) == expected, arguments
+
+
 class TestCaching:
     def test_cache_hit_costs_nothing(self):
         router = TreeRouter(balanced_tree(4))

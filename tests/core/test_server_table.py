@@ -165,6 +165,47 @@ class TestMutation:
         with pytest.raises(KeyError):
             table.record_consolidation(group("011*"))
 
+    def test_refused_split_leaves_the_table_untouched(self):
+        """The left child's row already exists: the parent must stay active."""
+        table = ServerTable(key_bits=7)
+        table.add_entry(
+            ServerTableEntry(group=group("010*"), parent_id=None, right_child_id="x", active=False)
+        )
+        table.add_entry(ServerTableEntry(group=group("01*"), parent_id=None))
+        before = table.describe()
+        with pytest.raises(ValueError):
+            table.record_split(group("01*"), right_child_server="s12")
+        assert table.describe() == before
+        assert table.active_group_for(key("0101010")) == group("01*")
+        table.check_invariants()
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([("011*", True)], ValueError),  # already active
+            ([("011*", False)], KeyError),  # left child absent
+            ([("011*", False), ("0110*", False)], ValueError),  # left child split further
+            # an active row under the right half would overlap the restored parent
+            ([("011*", False), ("0110*", True), ("01111*", True)], ValueError),
+        ],
+    )
+    def test_refused_consolidation_leaves_the_table_untouched(self, rows, error):
+        table = ServerTable(key_bits=7)
+        for pattern, active in rows:
+            table.add_entry(
+                ServerTableEntry(
+                    group=group(pattern),
+                    parent_id=None,
+                    right_child_id=None if active else "x",
+                    active=active,
+                )
+            )
+        before = table.describe()
+        with pytest.raises(error):
+            table.record_consolidation(group("011*"))
+        assert table.describe() == before
+        table.check_invariants()
+
     def test_remove_entry(self):
         table = ServerTable(key_bits=7)
         table.add_entry(ServerTableEntry(group=group("011*"), parent_id=None))

@@ -1,7 +1,8 @@
-"""``tools/perf_compare.py``: the verdict rule and the base-tree export."""
+"""``tools/perf_compare.py``: the verdict rule, the base-tree export and ``--layers``."""
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import pathlib
 
@@ -73,3 +74,32 @@ def test_export_base_unpacks_the_revision_under_this_trees_benchmark(tmp_path):
     for name in ("run.py", "harness.py", "workloads.py", "trace.py"):
         assert (tmp_path / "perf" / name).read_bytes() == (ROOT / "perf" / name).read_bytes()
     assert not (tmp_path / "perf" / "results").exists()
+
+
+class TestLayers:
+    ARGS = argparse.Namespace(seconds=1.0, mini=True)
+
+    def test_one_tree_against_itself_agrees_and_prints_every_busy_layer(self, capsys):
+        assert perf_compare.compare_layers("lookup_storm", ROOT, 11, self.ARGS)
+        printed = capsys.readouterr().out
+        assert "lookup_storm: traced, seed 11" in printed
+        for layer in ("core.server_table.prefix_match", "core.client.find_group"):
+            assert layer in printed
+        assert "round digests identical" in printed
+        assert "core.client.probes_per_lookup" in printed
+        assert "DIFFER" not in printed
+
+    @pytest.mark.parametrize(
+        "field, other, flagged",
+        [("counters", {"memo_hits": 8}, "DIFFERS"), ("digests", ["beef"], "round digests DIFFER")],
+    )
+    def test_a_moved_counter_or_digest_fails(self, monkeypatch, capsys, field, other, flagged):
+        run = {
+            "metrics": {"core.client.find_group.self_s": {"value": 0.5}},
+            "digests": ["cafe"],
+            "counters": {"memo_hits": 7},
+        }
+        runs = iter([run, {**run, field: other}])
+        monkeypatch.setattr(perf_compare, "run_once", lambda *args, **kwargs: next(runs))
+        assert not perf_compare.compare_layers("lookup_storm", ROOT, 11, self.ARGS)
+        assert flagged in capsys.readouterr().out

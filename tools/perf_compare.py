@@ -18,13 +18,21 @@ Automates the "Comparing two commits" recipe of ``perf/README.md``:
    than the bound, unless every run of the change reads better than every run
    of the base) or ``within bound``.
 
-The exit status is non-zero when any metric regressed or the change failed a
-larger share of its operations than the base.
+With ``--layers`` each workload's pairs are followed by the guide's "use the
+trace to show where the saving appears" step: one traced run a side
+(``--trace 1``) on the seed after the last pair's, printed side by side per
+layer — self time, its share of the traced round, calls — with the simulated
+counters and the round digests, which a pure speed-up leaves identical.
+
+The exit status is non-zero when any metric regressed, the change failed a
+larger share of its operations than the base, or (``--layers``) a simulated
+counter or a round digest differs between the sides.
 
 Usage::
 
     python3 tools/perf_compare.py --base REV [--workload NAME ...] [--pairs 10]
                                   [--seed FIRST_SEED] [--seconds S] [--mini]
+                                  [--layers]
 """
 
 from __future__ import annotations
@@ -63,11 +71,12 @@ def export_base(revision: str, target: pathlib.Path) -> None:
     shutil.copy2(REPO_ROOT / "BENCHMARK.json", target / "BENCHMARK.json")
 
 
-def run_once(tree: pathlib.Path, workload: str, seed: int, args) -> dict:
-    """One timed measurement in ``tree``: the result object plus round digests."""
+def run_once(tree: pathlib.Path, workload: str, seed: int, args, trace: int = 0) -> dict:
+    """One measurement in ``tree`` (timed, or traced with ``trace=1``): the
+    result object plus the round digests and the simulated counters."""
     command = [
         sys.executable, "perf/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(trace),
     ]  # fmt: skip
     if args.mini:
         command.append("--mini")
@@ -82,6 +91,7 @@ def run_once(tree: pathlib.Path, workload: str, seed: int, args) -> dict:
             f"exit code {finished.returncode}\n{finished.stdout}\n{finished.stderr}"
         )
     result["digests"] = details.get("digests", [])
+    result["counters"] = details.get("counters", {})
     return result
 
 
@@ -172,6 +182,42 @@ def compare_workload(workload: str, base_tree: pathlib.Path, spec: dict, args) -
     return ok and shares["change"] <= shares["base"]
 
 
+def compare_layers(workload: str, base_tree: pathlib.Path, seed: int, args) -> bool:
+    """One traced run a side on ``seed``, printed layer by layer; True when the
+    simulated counters and the round digests are the same on both sides."""
+    base = run_once(base_tree, workload, seed, args, trace=1)
+    change = run_once(REPO_ROOT, workload, seed, args, trace=1)
+
+    def value(run: dict, name: str) -> float:
+        return run["metrics"].get(name, {}).get("value", 0.0)
+
+    layers = [name[: -len(".self_s")] for name in base["metrics"] if name.endswith(".self_s")]
+    rounds = [sum(value(run, f"{layer}.self_s") for layer in layers) for run in (base, change)]
+    print(f"{workload}: traced, seed {seed}: self_s, share of the traced round, calls")
+    for layer in layers:
+        selfs = [value(run, f"{layer}.self_s") for run in (base, change)]
+        calls = [value(run, f"{layer}.calls") for run in (base, change)]
+        if not any(selfs + calls):
+            continue
+        print(
+            f"  {layer:36s} "
+            + "  ".join(
+                f"{side} {self_s:9.4f} s {self_s / total if total else 0.0:6.1%} {count:9.0f}"
+                for side, self_s, total, count in zip(("base", "change"), selfs, rounds, calls)
+            )
+            + (f"  x{selfs[1] / selfs[0]:.3f}" if selfs[0] else "")
+            + ("" if calls[0] == calls[1] else "  CALLS DIFFER")
+        )
+    same = base["digests"] == change["digests"]
+    print(f"  round digests {'identical' if same else 'DIFFER'}: {base['digests']} {change['digests']}")
+    for name in sorted(base["counters"].keys() | change["counters"].keys()):
+        values = [run["counters"].get(name) for run in (base, change)]
+        same = same and values[0] == values[1]
+        print(f"  {name:36s} base {values[0]!s:>14s}  change {values[1]!s:>14s}"
+              + ("" if values[0] == values[1] else "  DIFFERS"))  # fmt: skip
+    return same
+
+
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     names = [workload["name"] for workload in spec["workloads"]]
@@ -188,6 +234,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--mini", action="store_true", help="miniature sizes (smoke test)")
+    parser.add_argument(
+        "--layers",
+        action="store_true",
+        help="after each workload's pairs, one traced run a side on a fresh seed, "
+        "per layer side by side; fails when a simulated counter or digest differs",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -200,6 +252,8 @@ def main(argv: list[str] | None = None) -> int:
         export_base(args.base, base_tree)
         for workload in args.workload:
             ok = compare_workload(workload, base_tree, spec, args) and ok
+            if args.layers:
+                ok = compare_layers(workload, base_tree, args.seed + args.pairs, args) and ok
     return 0 if ok else 1
 
 
