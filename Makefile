@@ -8,7 +8,7 @@ PYTEST := PYTHONPATH=src python -m pytest
 # coverage grows, never lower it to admit a regression.
 COVERAGE_FLOOR := 90
 
-.PHONY: check lint test coverage smoke bench-smoke bench bench-async bench-sharded bench-socket bench-check bench-baseline bench-paper bench-paper-baseline profile-paper fuzz-smoke perf perf-compare
+.PHONY: check lint test coverage smoke bench-smoke bench bench-async bench-sharded bench-socket bench-check bench-baseline bench-paper bench-paper-baseline profile-paper fuzz-smoke perf perf-compare goldens
 
 check: lint test
 
@@ -86,6 +86,13 @@ bench-paper:
 # Re-record BENCH_PAPER_SCALE.json after an intentional perf/behaviour change.
 bench-paper-baseline:
 	PYTHONPATH=src python benchmarks/bench_paper_scale.py --update
+
+# After a change that moves simulated behaviour on purpose: re-record the flow
+# half of tests/net/golden_seed.json, BENCH_BASELINE.json and
+# BENCH_PAPER_SCALE.json in one go (refusing if the depth-search half or the
+# async delivery order moved) and print the before/after table for the PR.
+goldens:
+	python3 tools/record_goldens.py
 
 # Hot-path table for the churn-heavy paper-scale run (cProfile top-25).
 # PROFILE_FLAGS passes extra switches through, e.g.

@@ -72,6 +72,27 @@ def _run(scale: ExperimentScale) -> SimulationResult:
     ).run()
 
 
+def _phase_metrics(result: SimulationResult) -> dict[str, dict[str, object]]:
+    """Per phase: every simulated number Figures 4 and 5 report, and what the
+    paper-claims gate (docs/PAPER_CLAIMS.md) reads off the phase's last period."""
+    phases: dict[str, dict[str, object]] = {}
+    for phase in result.phase_summaries():
+        last = [s for s in result.metrics.samples if s.workload == phase.workload][-1]
+        phases[phase.workload] = {
+            "peak_load_percent": _round(phase.peak_max_load_percent),
+            "avg_load_percent": _round(phase.mean_avg_load_percent),
+            "active_servers": _round(phase.mean_active_servers),
+            "mean_depth": _round(phase.mean_depth),
+            "messages_per_server_per_second": _round(phase.messages_per_server_per_second),
+            "splits": phase.total_splits,
+            "merges": phase.total_merges,
+            "end_load_percent": _round(last.max_load_percent),
+            "end_splits": last.splits,
+            "end_merges": last.merges,
+        }
+    return phases
+
+
 def _metrics(result: SimulationResult) -> dict[str, object]:
     samples = result.metrics.samples
     metrics: dict[str, object] = {
@@ -89,10 +110,39 @@ def _metrics(result: SimulationResult) -> dict[str, object]:
             _round(sample.messages_per_server_per_second) for sample in samples
         ],
     }
+    metrics["overload_percent"] = _round(100.0 * result.config.overload_threshold)
+    metrics["phases"] = _phase_metrics(result)
     # The routing-tier work counters are deterministic functions of the seed
     # and scenario, so they are drift-gated like every other metric.
     metrics.update({key: int(value) for key, value in sorted(result.notes.items())})
     return metrics
+
+
+def paper_claim_failures(metrics: dict[str, object], churn_free: bool) -> list[str]:
+    """The paper-claims rows of docs/PAPER_CLAIMS.md that one run breaks.
+
+    A balance loop that ended on its iteration cap, an end-of-phase peak load
+    above the overload threshold and — churn-free only, a membership event may
+    legitimately reshape — a split or merge in the last period of a phase.
+    """
+    failures = []
+    if metrics["balance_cap_hits"] > 0:
+        failures.append(
+            f"{metrics['balance_cap_hits']} period(s) ended on max_balance_iterations "
+            "with the balance pass still reshaping"
+        )
+    for workload, phase in metrics["phases"].items():
+        if phase["end_load_percent"] > metrics["overload_percent"] + 1e-9:
+            failures.append(
+                f"phase {workload} ends at peak load {phase['end_load_percent']:.1f} %, "
+                f"over the {metrics['overload_percent']:g} % overload threshold"
+            )
+        if churn_free and (phase["end_splits"] or phase["end_merges"]):
+            failures.append(
+                f"phase {workload} still reshapes in its last period "
+                f"({phase['end_splits']} splits, {phase['end_merges']} merges)"
+            )
+    return failures
 
 
 def bench_paper_scale() -> dict[str, object]:
@@ -166,6 +216,21 @@ def _check_probe_ceiling(path: pathlib.Path) -> int:
     return 0
 
 
+def _check_paper_claims(path: pathlib.Path) -> int:
+    """Evaluate the paper-claims rows on the committed (drift-gated) metrics."""
+    import json
+
+    benchmarks = json.loads(path.read_text())["benchmarks"]
+    failures = [
+        f"{name}: {failure}"
+        for name, churn_free in (("paper_scale", True), ("paper_scale_churn", False))
+        for failure in paper_claim_failures(benchmarks[name]["metrics"], churn_free)
+    ]
+    for failure in failures:
+        print(f"paper-scale: FAIL {failure}")
+    return 1 if failures else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser(__doc__.splitlines()[0], PAPER_BASELINE_PATH, mode_required=False)
     parser.add_argument(
@@ -211,7 +276,8 @@ def main(argv: list[str] | None = None) -> int:
         tag="paper-scale",
     )
     ceiling_status = _check_probe_ceiling(args.baseline)
-    return status or ceiling_status
+    claims_status = _check_paper_claims(args.baseline)
+    return status or ceiling_status or claims_status
 
 
 if __name__ == "__main__":

@@ -601,7 +601,7 @@ class ClashSystem:
         return retired
 
     def clear_all_child_reports(self) -> None:
-        """Drop every server's child load reports (a period-boundary reset)."""
+        """Drop every server's child load reports (the full exchange's wipe)."""
         for server in self._servers.values():
             server.clear_child_reports()
 
@@ -832,6 +832,10 @@ class ClashSystem:
             self._register_group(right_group, server_name)
             self_collisions += 1
             current = right_group
+        if self_collisions == 0:
+            # The only candidate sits at the depth limit and maps back to this
+            # server: nothing was split, nothing changed.
+            return None
         return SplitOutcome(
             parent_server=server_name,
             group=current,
@@ -854,9 +858,7 @@ class ClashSystem:
         Requires a transport whose equivalence contract permits it (clock-less
         delivery, no per-delivery RNG — see
         :attr:`~repro.net.registry.TransportSpec.report_diff`) and the
-        reference full-scan mode to be off.  The flow simulator consults this
-        to decide whether parents' child reports must still be wiped at every
-        iteration boundary.
+        reference full-scan mode to be off.
         """
         return not self.force_full_load_scan and self._transport.supports_report_diff
 
@@ -874,8 +876,7 @@ class ClashSystem:
             return
         self._delivered_reports.clear()
         self._standing_report_total = 0
-        for server in self._servers.values():
-            server.clear_child_reports()
+        self.clear_all_child_reports()
         self._dirty_reports.update(self._servers)
 
     def exchange_load_reports(self) -> int:
@@ -945,10 +946,12 @@ class ClashSystem:
                     len(old) if old is not None else 0
                 )
         else:
-            # Full exchange.  If diff bookkeeping exists (the mode was just
-            # switched off), wipe it and the standing reports so this
-            # exchange rebuilds the canonical full state.
+            # Full exchange: every child re-posts, so every standing report
+            # is wiped first — as the diff exchange retracts them — or a
+            # report for a group its child no longer measures would linger.
+            # Diff bookkeeping left from before a mode switch goes with them.
             self._invalidate_report_diff()
+            self.clear_all_child_reports()
             # Snapshot: an event-transport churn event may alter membership
             # while a report is in flight.
             for server in list(self._servers.values()):

@@ -91,6 +91,11 @@ class ClashServer:
         self._group_rates: dict[KeyGroup, float] = {}
         self._group_query_counts: dict[KeyGroup, float] = {}
         self._child_reports: dict[KeyGroup, LoadReport] = {}
+        # Groups taken on since the last measurement.  A load report is a
+        # measurement, so these have none to send: they are left out of the
+        # reports and never make a consolidation pair until a rate arrives
+        # (or a whole quiet interval passes, which measures 0).
+        self._unmeasured: set[KeyGroup] = set()
         self._split_policy = split_policy or HottestGroupSplitPolicy()
         self._merge_policy = merge_policy or CoolestGroupMergePolicy()
         self.splits_performed = 0
@@ -176,14 +181,15 @@ class ClashServer:
         self._group_rates.clear()
         self._group_query_counts.clear()
         self._child_reports.clear()
+        self._unmeasured.clear()
         self._touch_rates()
 
     def clear_child_reports(self) -> None:
         """Drop the child load reports without touching the measured rates.
 
-        The incremental assignment path uses this where a full reassignment
-        used :meth:`reset_interval`: reports must not survive into the next
-        load check, but the (still exact) rates and query overrides do.
+        The report exchange owns how long a report stands: the full exchange
+        wipes every parent before its children re-post, and a membership
+        change wipes them with the report-diff bookkeeping.
         """
         if self._child_reports:
             self._child_reports.clear()
@@ -210,6 +216,7 @@ class ClashServer:
         if group not in self._table or not self._table.entry(group).active:
             raise KeyError(f"{self._name} does not actively manage group {group}")
         self._group_rates[group] = rate
+        self._unmeasured.discard(group)
         self._touch_rates()
 
     def add_group_rate(self, group: KeyGroup, rate: float) -> None:
@@ -313,6 +320,7 @@ class ClashServer:
         )
         if queries:
             self._queries.add_all(queries)
+        self._unmeasured.add(message.group)
         self._notify_load_changed()
 
     def accept_keygroup_back(self, group: KeyGroup, queries: list[Query] | None = None) -> None:
@@ -321,6 +329,7 @@ class ClashServer:
             self._queries.add_all(queries)
         self.merges_performed += 1
         self._table.record_consolidation(group)
+        self._unmeasured.add(group)
         self._notify_load_changed()
 
     def release_group(self, group: KeyGroup) -> list[Query]:
@@ -335,6 +344,7 @@ class ClashServer:
         queries = self._queries.extract_group(group)
         self._table.remove_entry(group)
         self._group_rates.pop(group, None)
+        self._unmeasured.discard(group)
         self._notify_load_changed()
         return queries
 
@@ -394,6 +404,7 @@ class ClashServer:
         right-child server.
         """
         rate = self._group_rates.pop(group, 0.0)
+        self._unmeasured.discard(group)
         left, right = self._table.record_split(group, right_child_server)
         migrated = self._queries.extract_group(right)
         # Until fresh measurements arrive, attribute half the parent's rate to
@@ -414,6 +425,7 @@ class ClashServer:
         """
         left = self._table.record_consolidation(group)
         self._group_rates.pop(left, None)
+        self._unmeasured.add(group)
         if queries:
             self._queries.add_all(queries)
         self.splits_performed -= 1
@@ -427,6 +439,7 @@ class ClashServer:
         and immediately retries by splitting the right child again.
         """
         rate = self._group_rates.pop(group, 0.0)
+        self._unmeasured.discard(group)
         left, right = self._table.record_split(group, right_child_server=self._name)
         self._table.add_entry(ServerTableEntry(group=right, parent_id=SELF_PARENT))
         self._group_rates[left] = rate / 2.0
@@ -459,9 +472,12 @@ class ClashServer:
     def addressed_load_reports(self) -> list[tuple[str, LoadReport]]:
         """``(parent server, report)`` pairs for every reportable leaf group.
 
-        The pairs are cached against the load epoch: while nothing changed
-        since the last check, the identical frozen report objects are
-        re-delivered without being rebuilt.
+        A group taken on since its last measurement (``_unmeasured``) is not
+        reportable: reporting a load nobody has measured would let the parent
+        merge a split back in the very check that made it.  The pairs are
+        cached against the load epoch: while nothing changed since the last
+        check, the identical frozen report objects are re-delivered without
+        being rebuilt.
         """
         loads = self._current_loads()
         if self._reports_epoch == self._loads_epoch:
@@ -469,7 +485,7 @@ class ClashServer:
         reports: list[tuple[str, LoadReport]] = []
         for group, info in loads.items():
             parent_id = self._table.entry(group).parent_id
-            if parent_id is None or parent_id == SELF_PARENT:
+            if parent_id is None or parent_id == SELF_PARENT or group in self._unmeasured:
                 continue
             reports.append(
                 (parent_id, LoadReport(group=group, child_server=self._name, load=info.load))
@@ -486,8 +502,8 @@ class ClashServer:
         """Forget the child load report recorded for ``group`` (if any).
 
         The report-diff exchange uses this to retract a report that a
-        re-delivering child no longer addresses here — the state a
-        period-boundary :meth:`clear_child_reports` would have wiped.  Like
+        re-delivering child no longer addresses here — the state the full
+        exchange's :meth:`clear_child_reports` wipes wholesale.  Like
         report delivery, it does not notify the load listener: child reports
         are consolidation inputs, not load inputs.
         """
@@ -500,7 +516,8 @@ class ClashServer:
         right child's load comes from the most recent
         :class:`~repro.core.messages.LoadReport` — or, when the right child is
         also held locally (the self-collision case of Section 5), from the
-        local measurement.  A parent group qualifies when the combined child
+        local measurement; a pair with a local child nobody has measured yet
+        is passed over.  A parent group qualifies when the combined child
         load is below the underload threshold *and* absorbing the right child
         would not push this server over the overload threshold — without the
         second condition a split performed to relieve overload would be undone
@@ -516,9 +533,13 @@ class ClashServer:
             left, right = parent_group.split()
             if left not in self._table or not self._table.entry(left).active:
                 continue
+            if left in self._unmeasured:
+                continue
             left_load = local_loads[left].load if left in local_loads else 0.0
             right_is_local = right in self._table and self._table.entry(right).active
             if right_is_local:
+                if right in self._unmeasured:
+                    continue
                 right_load = local_loads[right].load if right in local_loads else 0.0
             else:
                 report = self._child_reports.get(right)

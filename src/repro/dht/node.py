@@ -44,12 +44,19 @@ class ChordNode:
 
         Falls back to the node's own id when no finger strictly precedes the
         target, which terminates the routing loop at the current node.
+        Only ``target`` arrives from outside and is validated; the node's own
+        id and its fingers are ring points by construction, so the open
+        interval ``(node_id, target)`` is tested on clockwise distances
+        (``target == node_id`` spans the whole ring but the node itself).
         """
         space.check_member("target", target)
+        node_id = self.node_id
+        size = space.size
+        reach = (target - node_id) % size or size
         for finger_id in reversed(self.fingers):
-            if space.in_open_interval(finger_id, self.node_id, target):
+            if 0 < (finger_id - node_id) % size < reach:
                 return finger_id
-        return self.node_id
+        return node_id
 
     def owns(self, space: HashSpace, key: int) -> bool:
         """True if this node owns ``key``, i.e. ``key`` is in ``(predecessor, node_id]``."""

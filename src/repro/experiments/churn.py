@@ -159,6 +159,8 @@ def render_churn_sweep(result: ChurnSweepResult) -> str:
         "max depth",
         "splits",
         "merges",
+        "load checks",
+        "cap hits",
     ]
     rows = []
     for point in result.points:
@@ -177,6 +179,8 @@ def render_churn_sweep(result: ChurnSweepResult) -> str:
                 point.max_depth,
                 point.result.total_splits,
                 point.result.total_merges,
+                int(point.result.notes["balance_iterations"]),
+                int(point.result.notes["balance_cap_hits"]),
             ]
         )
     lines.append(format_table(headers, rows))

@@ -147,6 +147,12 @@ def render_figure4(result: "Figure4Result") -> str:
         for phase in result.results["CLASH"].phase_summaries()
     ]
     lines.append(format_table(depth_headers, depth_rows))
+    notes = result.results["CLASH"].notes
+    lines.append("")
+    lines.append(
+        f"CLASH balance loop: {notes['balance_iterations']:.0f} load checks, "
+        f"{notes['balance_cap_hits']:.0f} period(s) ended on the iteration cap"
+    )
     return "\n".join(lines)
 
 

@@ -112,14 +112,10 @@ class RandomKeyGenerator:
         check_positive("width", width)
         if not 0 <= base_bits <= width:
             raise ValueError(f"base_bits must be in [0, {width}], got {base_bits}")
-        if base_weights is not None and len(base_weights) != (1 << base_bits):
-            raise ValueError(
-                f"base_weights must have {1 << base_bits} entries, got {len(base_weights)}"
-            )
         self._width = width
         self._base_bits = base_bits
-        self._base_weights = list(base_weights) if base_weights is not None else None
         self._rng = rng
+        self.set_base_weights(base_weights)
 
     @property
     def width(self) -> int:
@@ -138,16 +134,18 @@ class RandomKeyGenerator:
                 f"base_weights must have {1 << self._base_bits} entries, "
                 f"got {len(base_weights)}"
             )
-        self._base_weights = list(base_weights) if base_weights is not None else None
+        self._base_sums = (
+            RandomStream.running_sums(base_weights) if base_weights is not None else None
+        )
 
     def generate(self) -> IdentifierKey:
         """Draw one identifier key."""
         if self._base_bits == 0:
             base_value = 0
-        elif self._base_weights is None:
+        elif self._base_sums is None:
             base_value = self._rng.randbits(self._base_bits)
         else:
-            base_value = self._rng.sample_pmf(self._base_weights)
+            base_value = self._rng.sample_sums(self._base_sums)
         remainder_bits = self._width - self._base_bits
         remainder = self._rng.randbits(remainder_bits)
         value = (base_value << remainder_bits) | remainder

@@ -75,7 +75,9 @@ class SimulationParams:
         lookup_sample_size: Number of real (message-level) depth searches
             executed per period to estimate the per-lookup message cost.
         max_balance_iterations: Upper bound on assign-loads / load-check
-            iterations per period.
+            iterations per period — a backstop: the loop ends on the first
+            check that neither splits nor merges, and a period that ends on
+            the bound instead is counted in ``notes["balance_cap_hits"]``.
         max_splits_per_server_per_iteration: Splits one server may perform in
             a single load-check pass.
         transport: Which transport carries protocol messages — one of
@@ -449,6 +451,10 @@ class FlowSimulator:
         self._recorder = MetricsRecorder()
         self._total_splits = 0
         self._total_merges = 0
+        # Balance-loop telemetry: load checks run, and periods whose loop ran
+        # out of iterations with the last check still reshaping.
+        self._balance_iterations = 0
+        self._balance_cap_hits = 0
         # Incremental load-assignment state: the measure the current
         # assignment was computed from, and the groups whose assignment has
         # been perturbed (by splits, merges, handoffs or churn) since then.
@@ -541,19 +547,13 @@ class FlowSimulator:
 
         Every other active group still carries the exact expected values the
         last full pass (or a previous dirty refresh) wrote — the measure is
-        unchanged, so rewriting them would store identical floats.  Two
-        resets mirror what ``reset_interval`` did on the full path: child
-        load reports are cleared everywhere, and measurements for retired
-        ``(group, former owner)`` pairs are discarded (a stale query override
-        would otherwise be resurrected if the group re-activates there).
+        unchanged, so rewriting them would store identical floats.  One
+        reset mirrors what ``reset_interval`` did on the full path:
+        measurements for retired ``(group, former owner)`` pairs are
+        discarded (a stale query override would otherwise be resurrected if
+        the group re-activates there).  Child load reports need no reset
+        here: the report exchange owns their lifetime.
         """
-        # Under the report-diff exchange the standing reports ARE the state
-        # (unchanged children never re-post); wiping them here would turn
-        # every parent's report set stale forever.  The full exchange
-        # re-posts everything each iteration, so the wipe is what keeps
-        # reports from servers that lost their groups from lingering.
-        if not self._system.report_diff_active:
-            self._system.clear_all_child_reports()
         for group, former_owner in retired:
             try:
                 server = self._system.server(former_owner)
@@ -927,6 +927,7 @@ class FlowSimulator:
             report = self._system.run_load_check(
                 max_splits_per_server=self._params.max_splits_per_server_per_iteration
             )
+            self._balance_iterations += 1
             self._pending_dirty |= report.touched_groups
             self._pending_retired.extend(report.retired_assignments)
             # The load check has returned: the configuration is momentarily
@@ -951,6 +952,8 @@ class FlowSimulator:
                 moved = measure.group_queries(right)
                 migrated_queries += moved
                 self._system.messages.add(MessageCategory.STATE_TRANSFER, moved)
+        else:
+            self._balance_cap_hits += 1
         # Leave the final, post-reaction load assignment in place for metrics.
         self._sync_assignments(measure)
         return splits, merges, redirected, migrated_queries
@@ -1121,6 +1124,8 @@ class FlowSimulator:
                 for key, value in {
                     **self._system.dht_stats(),
                     **self._system.work_stats(),
+                    "balance_iterations": self._balance_iterations,
+                    "balance_cap_hits": self._balance_cap_hits,
                 }.items()
             },
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 __all__ = ["RandomStream", "SeedSequenceFactory"]
@@ -88,22 +89,31 @@ class RandomStream:
             raise ValueError("cannot choose from an empty sequence")
         return self._rng.choice(items)
 
-    def sample_pmf(self, weights: Sequence[float]) -> int:
-        """Sample an index from an (unnormalised) discrete weight vector."""
+    @staticmethod
+    def running_sums(weights: Sequence[float]) -> list[float]:
+        """The left-to-right partial sums of an (unnormalised) weight vector.
+
+        Validates the weights once, so a caller drawing repeatedly from one
+        vector builds the sums once and hands them to :meth:`sample_sums`.
+        """
+        sums: list[float] = []
         total = 0.0
         for weight in weights:
             if weight < 0:
                 raise ValueError(f"weights must be non-negative, got {weight}")
             total += weight
+            sums.append(total)
         if total <= 0:
             raise ValueError("weights must sum to a positive value")
-        target = self._rng.random() * total
-        cumulative = 0.0
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if target < cumulative:
-                return index
-        return len(weights) - 1
+        return sums
+
+    def sample_sums(self, sums: Sequence[float]) -> int:
+        """Sample an index given the :meth:`running_sums` of its weights."""
+        return min(bisect_right(sums, self._rng.random() * sums[-1]), len(sums) - 1)
+
+    def sample_pmf(self, weights: Sequence[float]) -> int:
+        """Sample an index from an (unnormalised) discrete weight vector."""
+        return self.sample_sums(self.running_sums(weights))
 
     def shuffle(self, items: list) -> None:
         """Shuffle a list in place."""

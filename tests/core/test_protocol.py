@@ -166,6 +166,114 @@ class TestSplitting:
         system.verify_invariants()
 
 
+    def test_depth_limit_self_collision_changes_and_charges_nothing(self):
+        """The only candidate's right child maps back to the splitter and
+        sits at the depth limit: no local split is left behind, so there is
+        no outcome to report — a load check must not count it as a split."""
+        config = ClashConfig.small_scale().with_overrides(max_depth=3)
+        system = ClashSystem.create(config, server_count=1, rng=RandomStream(3))
+        server = system.server("s0")
+        for group in server.active_groups():
+            server.set_group_rate(group, config.server_capacity)
+        groups_before = system.active_groups()
+        assert system.split_server("s0") is None
+        assert system.active_groups() == groups_before
+        assert system.messages.total() == 0.0
+        assert system.drain_touched_groups() == set(groups_before)  # bootstrap only
+        report = system.run_load_check(max_splits_per_server=4)
+        assert report.split_count == 0 and server.splits_performed == 0
+        system.verify_invariants()
+
+
+class TestUnmeasuredGroups:
+    """A group taken on since the last measurement has no load to report."""
+
+    def _reporters(self, system: ClashSystem) -> set[KeyGroup]:
+        return {
+            report.group
+            for name in system.server_names()
+            for _parent, report in system.server(name).addressed_load_reports()
+        }
+
+    def _force_split(self, system: ClashSystem):
+        group, owner = system.find_active_group(
+            IdentifierKey(value=0, width=system.config.key_bits)
+        )
+        system.server(owner).set_group_rate(group, 2 * system.config.server_capacity)
+        outcome = system.split_server(owner)
+        assert outcome is not None and outcome.shed
+        return outcome
+
+    def test_right_child_reports_once_measured(self, system: ClashSystem):
+        outcome = self._force_split(system)
+        child = system.server(outcome.child_server)
+        assert outcome.right not in self._reporters(system)
+        child.set_group_rate(outcome.right, 1.0)
+        assert outcome.right in self._reporters(system)
+
+    def test_right_child_reports_after_a_quiet_interval(self, system: ClashSystem):
+        outcome = self._force_split(system)
+        system.server(outcome.child_server).reset_interval()
+        assert outcome.right in self._reporters(system)
+
+    def test_split_is_not_merged_back_by_the_check_that_made_it(self, system: ClashSystem):
+        group, owner = system.find_active_group(
+            IdentifierKey(value=0, width=system.config.key_bits)
+        )
+        # Just over the overload threshold: the split leaves the parent
+        # under-loaded with a left half that, next to a right half reporting
+        # zero, would look cold enough to take straight back.
+        system.server(owner).set_group_rate(group, 0.95 * system.config.server_capacity)
+        report = system.run_load_check()
+        assert report.split_count == 1 and report.merge_count == 0
+        assert group not in system.active_groups()
+
+    def test_group_moved_by_a_join_reports_once_measured(self, system: ClashSystem):
+        outcome = self._force_split(system)
+        system.server(outcome.child_server).set_group_rate(outcome.right, 1.0)
+        assert outcome.right in self._reporters(system)
+        # Land the joiner exactly on the right child's ring point: it takes
+        # the group over, consolidation linkage and all.
+        node_id = system.ring.hash_function.hash_key(outcome.right.virtual_key)
+        moved = system.handle_server_join("joiner", node_id=node_id)
+        assert outcome.right in moved
+        joiner = system.server("joiner")
+        assert joiner.table.entry(outcome.right).parent_id == outcome.parent_server
+        assert outcome.right not in self._reporters(system)
+        joiner.set_group_rate(outcome.right, 1.0)
+        assert outcome.right in self._reporters(system)
+
+    def test_group_rehomed_as_root_is_unmeasured(self, system: ClashSystem):
+        outcome = self._force_split(system)
+        child = system.server(outcome.child_server)
+        child.set_group_rate(outcome.right, 1.0)
+        queries = child.release_group(outcome.right)
+        new_owner = system.server(system._restart_as_root(outcome.right, queries))
+        assert new_owner.table.entry(outcome.right).is_root
+        assert outcome.right in new_owner._unmeasured
+        new_owner.set_group_rate(outcome.right, 1.0)
+        assert outcome.right not in new_owner._unmeasured
+        system.verify_invariants()
+
+    def test_parent_reactivated_by_a_merge_reports_once_measured(self, system: ClashSystem):
+        first = self._force_split(system)
+        child = system.server(first.child_server)
+        # The child sheds half of what it was given, then takes it back.
+        child.set_group_rate(first.right, 2 * system.config.server_capacity)
+        second = system.split_server(first.child_server)
+        assert second is not None and second.shed and second.group == first.right
+        child.set_group_rate(second.left, 1.0)
+        system.server(second.child_server).set_group_rate(second.right, 1.0)
+        system.server(first.parent_server).set_group_rate(
+            first.left, 0.8 * system.config.server_capacity
+        )
+        report = system.run_load_check()
+        assert [merge.parent_group for merge in report.merges] == [first.right]
+        assert first.right not in self._reporters(system)
+        child.set_group_rate(first.right, 2.0)
+        assert first.right in self._reporters(system)
+
+
 class TestConsolidation:
     def _force_split(self, system: ClashSystem, value: int = 0):
         key = IdentifierKey(value=value, width=system.config.key_bits)

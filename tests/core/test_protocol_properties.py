@@ -95,3 +95,70 @@ class TestProtocolInvariants:
                 break
         assert len(system.active_groups()) == 1 << CONFIG.initial_depth
         system.verify_invariants()
+
+
+# ---------------------------------------------------------------------- #
+# The balance pass converges
+# ---------------------------------------------------------------------- #
+
+CONVERGENCE_BOUND = 40
+"""Load checks a stationary workload may need before one neither splits nor
+merges (measured worst case over the strategy below: 20)."""
+
+
+def true_rate(group, cell_rates: list[float]) -> float:
+    """The rate a stationary workload sends to ``group``: ``cell_rates`` gives
+    the rate of each ``base_bits``-deep cell, uniform inside a cell."""
+    bits = CONFIG.base_bits
+    if group.depth <= bits:
+        span = 1 << (bits - group.depth)
+        return sum(cell_rates[group.prefix * span : (group.prefix + 1) * span])
+    return cell_rates[group.prefix >> (group.depth - bits)] / (1 << (group.depth - bits))
+
+
+@st.composite
+def stationary_workloads(draw):
+    """One to three skewed workloads, each well inside the deployment's capacity."""
+    workloads = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        weights = draw(
+            st.lists(
+                st.sampled_from([0.0, 0.0, 1.0, 5.0, 20.0, 60.0]),
+                min_size=1 << CONFIG.base_bits,
+                max_size=1 << CONFIG.base_bits,
+            )
+        )
+        total = draw(st.floats(min_value=50.0, max_value=600.0))
+        scale = total / (sum(weights) or 1.0)
+        workloads.append([weight * scale for weight in weights])
+    return workloads
+
+
+class TestBalanceConverges:
+    @given(
+        seed=st.integers(min_value=0, max_value=50),
+        workloads=stationary_workloads(),
+        full_scan=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_measured_rates_reach_a_quiet_check(self, seed, workloads, full_scan):
+        """Repeating *measure the true rates → load check* settles, and no
+        check along the way merges back a group it has just split."""
+        system = build_system(seed)
+        system.force_full_load_scan = full_scan
+        for cell_rates in workloads:
+            for _iteration in range(CONVERGENCE_BOUND):
+                for group, owner in system.active_groups().items():
+                    system.server(owner).set_group_rate(group, true_rate(group, cell_rates))
+                report = system.run_load_check()
+                undone = {split.group for split in report.splits} & {
+                    merge.parent_group for merge in report.merges
+                }
+                assert not undone, f"split and merged back in one check: {undone}"
+                if report.split_count == 0 and report.merge_count == 0:
+                    break
+            else:
+                raise AssertionError(
+                    f"no quiet load check within {CONVERGENCE_BOUND} iterations"
+                )
+            system.verify_invariants()

@@ -242,6 +242,76 @@ class TestConsolidation:
         assert server.choose_group_to_consolidate() == group("010*")
 
 
+class TestUnmeasuredGroups:
+    """A load report is a measurement; a group taken on since the last one has none."""
+
+    def _accepting_child(self, parent_server: str | None = "s0") -> ClashServer:
+        child = ClashServer(name="s9", config=CONFIG)
+        child.accept_keygroup(AcceptKeyGroup(group=group("011*"), parent_server=parent_server))
+        return child
+
+    def test_accepted_group_reports_only_once_a_rate_is_set(self):
+        child = self._accepting_child()
+        assert child.addressed_load_reports() == []
+        child.set_group_rate(group("011*"), 5.0)
+        [(parent, report)] = child.addressed_load_reports()
+        assert (parent, report.group, report.load) == ("s0", group("011*"), 5.0)
+
+    def test_a_whole_quiet_interval_measures_zero(self):
+        child = self._accepting_child()
+        child.reset_interval()
+        [(_parent, report)] = child.addressed_load_reports()
+        assert report.load == 0.0
+
+    def test_query_load_alone_is_not_a_measurement(self):
+        child = self._accepting_child()
+        child.store_query(Query(query_id=1, key=key("01100001")))
+        child.store_query(Query(query_id=2, key=key("01110001")))
+        assert child.total_load() > 0.0
+        assert child.addressed_load_reports() == []
+
+    def test_released_group_leaves_nothing_behind(self):
+        child = self._accepting_child()
+        child.release_group(group("011*"))
+        # Taken on again as a root (failure recovery re-homes orphans so): a
+        # stale mark must not be waiting for it.
+        child.assign_root_group(group("011*"))
+        assert group("011*") not in child._unmeasured
+
+    def test_group_reactivated_by_a_merge_reports_only_once_measured(self):
+        # s9 holds 011* for s0, sheds 0111* to s5, then takes it back.
+        child = self._accepting_child()
+        child.set_group_rate(group("011*"), 8.0)
+        child.perform_split(group("011*"), right_child_server="s5")
+        child.accept_keygroup_back(group("011*"))
+        assert child.table.entry(group("011*")).active
+        assert child.addressed_load_reports() == []
+        child.set_group_rate(group("011*"), 8.0)
+        assert [report.group for _p, report in child.addressed_load_reports()] == [group("011*")]
+
+    def test_group_reactivated_by_undo_split_reports_only_once_measured(self):
+        child = self._accepting_child()
+        child.set_group_rate(group("011*"), 8.0)
+        _left, _right, migrated = child.perform_split(group("011*"), right_child_server="s5")
+        child.undo_split(group("011*"), queries=migrated)
+        assert child.addressed_load_reports() == []
+        child.set_group_rate(group("011*"), 8.0)
+        assert len(child.addressed_load_reports()) == 1
+
+    def test_pair_with_an_unmeasured_local_child_is_no_candidate(self):
+        parent = ClashServer(name="s0", config=CONFIG)
+        parent.assign_root_group(group("01*"))
+        parent.perform_local_split(group("01*"))
+        assert parent.consolidation_candidates() == [group("01*")]
+        # The left half splits again and merges straight back: 010* is active
+        # once more, but nobody has measured it since.
+        parent.perform_split(group("010*"), right_child_server="s5")
+        parent.accept_keygroup_back(group("010*"))
+        assert parent.consolidation_candidates() == []
+        parent.set_group_rate(group("010*"), 1.0)
+        assert parent.consolidation_candidates() == [group("01*")]
+
+
 class TestDescribe:
     def test_describe_contains_summary_fields(self, server: ClashServer):
         snapshot = server.describe()

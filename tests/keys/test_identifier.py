@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.keys.identifier import IdentifierKey, RandomKeyGenerator
 from repro.util.rng import RandomStream
+from repro.workload.distributions import workload_a, workload_b, workload_c
+
+
+def linear_scan_pmf(rng: random.Random, weights) -> int:
+    """``RandomStream.sample_pmf`` as first written: re-sum and scan on every draw."""
+    total = 0.0
+    for weight in weights:
+        total += weight
+    target = rng.random() * total
+    cumulative = 0.0
+    for index, weight in enumerate(weights):
+        cumulative += weight
+        if target < cumulative:
+            return index
+    return len(weights) - 1
 
 
 class TestIdentifierKey:
@@ -106,6 +123,38 @@ class TestRandomKeyGenerator:
         generator.set_base_weights(None)
         prefixes = {key.prefix(4) for key in generator.generate_many(200)}
         assert len(prefixes) > 1
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            workload_a().weights,
+            workload_b().weights,
+            workload_c().weights,
+            [0.0, 3.0, 0.0, 0.0, 1.0, 0.0, 2.5, 0.0] * 32,  # zero entries, first one included
+            [0.25] * 16 + [0.0] * 240,  # a zero tail
+            [0.0] * 255 + [1e-12],  # everything on the last index
+        ],
+        ids=["A", "B", "C", "zero-entries", "zero-tail", "last-only"],
+    )
+    def test_bisection_draws_equal_the_linear_scan(self, weights):
+        """Twin streams, 10 000 keys: the running-sum bisection picks the base
+        value the per-draw linear scan picked, so no seeded number moves."""
+        generator = RandomKeyGenerator(
+            width=24, base_bits=8, rng=RandomStream(77), base_weights=weights
+        )
+        twin = random.Random(77)
+        for _ in range(10_000):
+            expected = linear_scan_pmf(twin, weights)
+            remainder = twin.getrandbits(16)
+            assert generator.generate().value == (expected << 16) | remainder
+
+    def test_weights_are_validated_when_set(self):
+        rng = RandomStream(5)
+        with pytest.raises(ValueError):
+            RandomKeyGenerator(width=12, base_bits=1, rng=rng, base_weights=[1.0, -1.0])
+        generator = RandomKeyGenerator(width=12, base_bits=1, rng=rng)
+        with pytest.raises(ValueError):
+            generator.set_base_weights([0.0, 0.0])
 
     def test_weight_length_validation(self):
         rng = RandomStream(5)

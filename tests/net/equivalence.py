@@ -89,10 +89,9 @@ def build_traced_system(transport) -> tuple[ClashSystem, list, ClashConfig]:
     return system, split_sequence, config
 
 
-def assert_depth_search_matches_golden(system, split_sequence, config, golden) -> None:
-    """Every probe, reply, hop charge and counter must match the seed capture."""
-    expected = golden["depth_search"]
-    assert split_sequence == expected["split_sequence"]
+def trace_depth_search(system, split_sequence, config, lookups: int) -> dict:
+    """The depth-search half of the capture, as this system produces it:
+    the split sequence, ``lookups`` client searches and the message counters."""
     client = system.make_client("golden-client")
     probe_gen = RandomKeyGenerator(
         width=config.key_bits,
@@ -100,16 +99,38 @@ def assert_depth_search_matches_golden(system, split_sequence, config, golden) -
         rng=RandomStream(99),
         base_weights=workload_b().weights,
     )
-    for record in expected["lookups"]:
+    records = []
+    for _ in range(lookups):
         result = client.find_group(probe_gen.generate(), use_cache=False)
-        assert result.key.value == record["key"]
-        assert result.group.depth == record["depth"]
-        assert result.server == record["server"]
-        assert result.probes == record["probes"]
-        assert result.messages == record["messages"]
-        assert list(result.probe_depths) == record["probe_depths"]
-    snapshot = {k: round(v, 6) for k, v in sorted(system.messages.snapshot().items())}
-    assert snapshot == expected["message_snapshot"]
+        records.append(
+            {
+                "key": result.key.value,
+                "depth": result.group.depth,
+                "server": result.server,
+                "probes": result.probes,
+                "messages": result.messages,
+                "probe_depths": list(result.probe_depths),
+            }
+        )
+    return {
+        "split_sequence": split_sequence,
+        "lookups": records,
+        "message_snapshot": {
+            k: round(v, 6) for k, v in sorted(system.messages.snapshot().items())
+        },
+    }
+
+
+def assert_depth_search_matches_golden(system, split_sequence, config, golden) -> None:
+    """Every probe, reply, hop charge and counter must match the seed capture."""
+    expected = golden["depth_search"]
+    produced = trace_depth_search(
+        system, split_sequence, config, lookups=len(expected["lookups"])
+    )
+    assert produced["split_sequence"] == expected["split_sequence"]
+    for record, wanted in zip(produced["lookups"], expected["lookups"]):
+        assert record == wanted
+    assert produced["message_snapshot"] == expected["message_snapshot"]
 
 
 # --------------------------------------------------------------------- #

@@ -242,12 +242,18 @@ class TestBatchOrderRule:
         assert order == ["first:0", "first:1", "second:early", "second:late", "second:late"]
 
 
-if __name__ == "__main__":  # pragma: no cover - recording entry point
-    GOLDEN_PATH.write_text(
+def recording_text() -> str:
+    """What a recording of every scenario writes to ``GOLDEN_PATH``
+    (``tools/record_goldens.py`` requires the committed file to equal it)."""
+    return (
         json.dumps(
             {_scenario_id(*scenario): scenario_log(*scenario) for scenario in SCENARIOS},
             indent=0,
         )
         + "\n"
     )
+
+
+if __name__ == "__main__":  # pragma: no cover - recording entry point
+    GOLDEN_PATH.write_text(recording_text())
     print(f"recorded {len(SCENARIOS)} scenarios to {GOLDEN_PATH}")

@@ -153,7 +153,12 @@ class TestSteadyState:
         # 1.5× capacity forces one split; the halves settle between the
         # underload and overload thresholds, so the pair is stable and the
         # child keeps a standing report on its parent.
-        system.server(owner).set_group_rate(group, 1.5 * system.config.server_capacity)
+        capacity = system.config.server_capacity
+        system.server(owner).set_group_rate(group, 1.5 * capacity)
+        (split,) = system.run_load_check().splits
+        # A group just taken on has no load to report: the child's report
+        # stands on the parent only once the child has measured its half.
+        system.server(split.child_server).set_group_rate(split.right, 0.75 * capacity)
         converged = False
         for _ in range(10):
             report = system.run_load_check()
@@ -204,6 +209,12 @@ class TestMidFlightDropAccounting:
                 group, 2.0 * system.config.server_capacity
             )
         system.run_load_check()
+        # Freshly accepted groups are unmeasured and report nothing; one
+        # measurement each makes every cross-server child a reporter.
+        for group, owner in sorted(system.active_groups().items()):
+            system.server(owner).set_group_rate(
+                group, 0.5 * system.config.server_capacity
+            )
         pairs = [
             (name, parent)
             for name in system.server_names()

@@ -138,3 +138,27 @@ def test_tiny_depth_search_benchmark_config_executes():
         for _ in range(25)
     ]
     assert all(1 <= count <= system.config.key_bits + 1 for count in probes)
+
+
+@pytest.mark.bench_smoke
+def test_paper_claims_gate_names_each_broken_row():
+    """``bench_paper_scale.py --check``'s claim rows (docs/PAPER_CLAIMS.md) on
+    synthetic metrics: a clean run passes, each broken row is reported, and a
+    churned run may reshape in a phase's last period."""
+    bench = _import_from_path(BENCH_DIR / "bench_paper_scale.py")
+    quiet = {"end_load_percent": 89.8, "end_splits": 0, "end_merges": 0}
+    clean = {"balance_cap_hits": 0, "overload_percent": 90.0, "phases": {"A": quiet, "B": quiet}}
+    assert bench.paper_claim_failures(clean, churn_free=True) == []
+    livelocked = {
+        "balance_cap_hits": 48,
+        "overload_percent": 90.0,
+        "phases": {"A": quiet, "B": {"end_load_percent": 107.1, "end_splits": 240, "end_merges": 240}},
+    }
+    failures = bench.paper_claim_failures(livelocked, churn_free=True)
+    assert len(failures) == 3
+    assert any("48 period(s)" in failure for failure in failures)
+    assert any("107.1" in failure for failure in failures)
+    assert any("240 splits, 240 merges" in failure for failure in failures)
+    reshaping = dict(clean, phases={"C": dict(quiet, end_splits=2)})
+    assert bench.paper_claim_failures(reshaping, churn_free=False) == []
+    assert len(bench.paper_claim_failures(reshaping, churn_free=True)) == 1

@@ -92,6 +92,15 @@ class TestRandomStream:
         assert counts[1] == 0
         assert counts[2] > counts[0]
 
+    def test_sample_pmf_is_one_draw_from_its_running_sums(self):
+        weights = [1.0, 0.0, 3.0, 0.5, 0.0]
+        sums = RandomStream.running_sums(weights)
+        assert sums == [1.0, 1.0, 4.0, 4.5, 4.5]
+        a, b = RandomStream(11), RandomStream(11)
+        assert [a.sample_pmf(weights) for _ in range(500)] == [
+            b.sample_sums(sums) for _ in range(500)
+        ]
+
     def test_sample_pmf_rejects_zero_total(self):
         with pytest.raises(ValueError):
             RandomStream(1).sample_pmf([0.0, 0.0])
