@@ -21,7 +21,7 @@ from repro.baselines.virtual_server_lb import VirtualServerBalancer
 from repro.dht.hashspace import HashSpace
 from repro.dht.ring import ChordRing
 from repro.experiments.reporting import format_table
-from repro.keys.identifier import IdentifierKey, RandomKeyGenerator
+from repro.keys.identifier import RandomKeyGenerator
 from repro.keys.keygroup import KeyGroup
 from repro.sim.loadmeasure import LoadMeasure
 from repro.sim.simulator import FlowSimulator

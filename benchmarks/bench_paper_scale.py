@@ -30,6 +30,7 @@ and commit the new ``BENCH_PAPER_SCALE.json`` together with the change.
 from __future__ import annotations
 
 import dataclasses
+import math
 import pathlib
 import sys
 from typing import Callable
@@ -111,6 +112,10 @@ def _metrics(result: SimulationResult) -> dict[str, object]:
         ],
     }
     metrics["overload_percent"] = _round(100.0 * result.config.overload_threshold)
+    metrics["key_bits"] = result.config.key_bits
+    metrics["probes_per_lookup"] = _round(
+        result.notes["sampled_lookup_probes"] / max(1.0, result.notes["sampled_lookups"])
+    )
     metrics["phases"] = _phase_metrics(result)
     # The routing-tier work counters are deterministic functions of the seed
     # and scenario, so they are drift-gated like every other metric.
@@ -121,7 +126,8 @@ def _metrics(result: SimulationResult) -> dict[str, object]:
 def paper_claim_failures(metrics: dict[str, object], churn_free: bool) -> list[str]:
     """The paper-claims rows of docs/PAPER_CLAIMS.md that one run breaks.
 
-    A balance loop that ended on its iteration cap, an end-of-phase peak load
+    A balance loop that ended on its iteration cap, a depth search averaging
+    more than ``log2(key_bits) + 2`` probes (row 8), an end-of-phase peak load
     above the overload threshold and — churn-free only, a membership event may
     legitimately reshape — a split or merge in the last period of a phase.
     """
@@ -130,6 +136,14 @@ def paper_claim_failures(metrics: dict[str, object], churn_free: bool) -> list[s
         failures.append(
             f"{metrics['balance_cap_hits']} period(s) ended on max_balance_iterations "
             "with the balance pass still reshaping"
+        )
+    # Metrics without a probe count pass this row; the drift gate, not this
+    # check, catches a recording that drops it.
+    probe_bound = math.log2(metrics.get("key_bits", 1)) + 2
+    if metrics.get("probes_per_lookup", 0.0) > probe_bound:
+        failures.append(
+            f"a depth search takes {metrics['probes_per_lookup']:.2f} probes on average, "
+            f"over log2(key_bits) + 2 = {probe_bound:.2f}"
         )
     for workload, phase in metrics["phases"].items():
         if phase["end_load_percent"] > metrics["overload_percent"] + 1e-9:

@@ -59,8 +59,9 @@ from repro.util.validation import check_positive, check_power_of_two, check_type
 __all__ = ["ClashSystem", "SplitOutcome", "MergeOutcome"]
 
 RING_POSITION_MEMO_LIMIT = 1 << 16
-"""Entries kept in a deployment's ring-position memo before it is cleared
-(correctness never depends on a hit: a miss re-hashes the virtual key)."""
+"""Entries kept in each of a deployment's two virtual-key memos — ring
+positions and probe addresses — before it is cleared (correctness never
+depends on a hit: a miss re-hashes the virtual key or rebuilds the address)."""
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,8 @@ class ClashSystem:
             for ring in rings
         ), "shard rings must share one hash function"
         self._ring_positions: dict[int, int] = {}
+        # ACCEPT_OBJECT destinations by virtual-key value (route_accept_object).
+        self._probe_addresses: dict[int, DhtAddress] = {}
         # Maintained indexes over the ownership registry.  They are mutated
         # exclusively through _register_group/_unregister_group so that
         # active_servers() and depth_statistics() are O(active servers) /
@@ -718,19 +721,37 @@ class ClashSystem:
         """Route an ``ACCEPT_OBJECT`` probe to the DHT-resolved server.
 
         Returns the server's reply and the number of messages charged.
+
+        The probe is validated here, once, before anything is routed or
+        counted.  Its destination is the virtual key of the depth-
+        ``estimated_depth`` group containing ``key``, computed as one shift
+        pair; the :class:`DhtAddress` naming it is memoised by value, like
+        :meth:`_memoise_ring_position`, and never goes stale — an address is a
+        name, which the transport resolves afresh on every delivery.
         """
-        if not 0 <= estimated_depth <= self._config.key_bits:
+        key_bits = self._config.key_bits
+        if not 0 <= estimated_depth <= key_bits:
             raise ValueError(
-                f"estimated_depth must be in [0, {self._config.key_bits}], "
-                f"got {estimated_depth}"
+                f"estimated_depth must be in [0, {key_bits}], got {estimated_depth}"
             )
-        group = KeyGroup.from_key(key, estimated_depth)
+        if type(estimated_depth) is not int:
+            check_type("estimated_depth", estimated_depth, int)
+        if key.width != key_bits:
+            raise ValueError(f"key width {key.width} does not match key_bits {key_bits}")
+        shift = key_bits - estimated_depth
+        virtual_value = (key.value >> shift) << shift
+        address = self._probe_addresses.get(virtual_value)
+        if address is None:
+            if len(self._probe_addresses) >= RING_POSITION_MEMO_LIMIT:
+                self._probe_addresses.clear()
+            address = DhtAddress(IdentifierKey(value=virtual_value, width=key_bits))
+            self._probe_addresses[virtual_value] = address
         message = AcceptObject(key=key, estimated_depth=estimated_depth, sender=sender)
         try:
             delivery = self._transport.request(
                 Envelope(
                     source=sender,
-                    destination=DhtAddress(group.virtual_key),
+                    destination=address,
                     payload=message,
                     category=MessageCategory.LOOKUP,
                 )

@@ -39,7 +39,6 @@ from repro.core.policy import (
     SplitPolicy,
 )
 from repro.core.server_table import SELF_PARENT, ServerTable, ServerTableEntry
-from repro.keys.identifier import IdentifierKey
 from repro.keys.keygroup import KeyGroup
 
 __all__ = ["ClashServer", "GroupLoad"]
@@ -96,6 +95,8 @@ class ClashServer:
         # reports and never make a consolidation pair until a rate arrives
         # (or a whole quiet interval passes, which measures 0).
         self._unmeasured: set[KeyGroup] = set()
+        # ACCEPT_OBJECT replies by (status, depth): at most 3 × (key_bits + 1).
+        self._replies: dict[tuple[ReplyStatus, int], AcceptObjectReply] = {}
         self._split_policy = split_policy or HottestGroupSplitPolicy()
         self._merge_policy = merge_policy or CoolestGroupMergePolicy()
         self.splits_performed = 0
@@ -353,25 +354,32 @@ class ClashServer:
     # ------------------------------------------------------------------ #
 
     def handle_accept_object(self, message: AcceptObject) -> AcceptObjectReply:
-        """Respond to an object presented with an estimated depth."""
+        """Respond to an object presented with an estimated depth.
+
+        A reply is a frozen value fixed by its ``(status, depth)`` — this
+        server's name is the only other field — so each pair is built once
+        and shared by every later probe that earns it.
+        """
         key = message.key
         matching = self._table.active_group_for(key)
-        if matching is not None:
-            if matching.depth == message.estimated_depth:
-                # Case (a): the client guessed the right depth.
-                status = ReplyStatus.OK
+        if matching is None:
+            # Case (c): this server is not responsible for the object.
+            status = ReplyStatus.INCORRECT_DEPTH
+            depth = self._table.longest_prefix_match(key)
+        elif matching.depth == message.estimated_depth:
+            # Case (a): the client guessed the right depth.
+            status, depth = ReplyStatus.OK, matching.depth
+        else:
+            # Case (b): wrong depth, but the object still belongs here.
+            status, depth = ReplyStatus.OK_CORRECTED_DEPTH, matching.depth
+        reply = self._replies.get((status, depth))
+        if reply is None:
+            if status is ReplyStatus.INCORRECT_DEPTH:
+                reply = AcceptObjectReply(status, self._name, longest_prefix_match=depth)
             else:
-                # Case (b): wrong depth, but the object still belongs here.
-                status = ReplyStatus.OK_CORRECTED_DEPTH
-            return AcceptObjectReply(
-                status=status, server=self._name, correct_depth=matching.depth
-            )
-        # Case (c): this server is not responsible for the object.
-        return AcceptObjectReply(
-            status=ReplyStatus.INCORRECT_DEPTH,
-            server=self._name,
-            longest_prefix_match=self._table.longest_prefix_match(key),
-        )
+                reply = AcceptObjectReply(status, self._name, correct_depth=depth)
+            self._replies[(status, depth)] = reply
+        return reply
 
     def store_query(self, query: Query) -> None:
         """Store a persistent query (the object type that survives splits)."""

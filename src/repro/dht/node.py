@@ -59,10 +59,20 @@ class ChordNode:
         return node_id
 
     def owns(self, space: HashSpace, key: int) -> bool:
-        """True if this node owns ``key``, i.e. ``key`` is in ``(predecessor, node_id]``."""
-        if self.predecessor is None:
+        """True if this node owns ``key``, i.e. ``key`` is in ``(predecessor, node_id]``.
+
+        As in :meth:`closest_preceding_finger`, only ``key`` is validated; the
+        predecessor and the node's own id are ring points by construction, so
+        the arc is tested on clockwise distances from the predecessor
+        (``predecessor == node_id`` is a single-node ring: the whole ring).
+        """
+        low = self.predecessor
+        if low is None:
             raise ValueError(f"node {self.name} has no predecessor yet")
-        return space.in_half_open_interval(key, self.predecessor, self.node_id)
+        space.check_member("key", key)
+        node_id = self.node_id
+        size = space.size
+        return low == node_id or 0 < (key - low) % size <= (node_id - low) % size
 
     def describe(self) -> dict[str, object]:
         """A plain-dict snapshot of the node, convenient for debugging and reports."""

@@ -455,6 +455,9 @@ class FlowSimulator:
         # out of iterations with the last check still reshaping.
         self._balance_iterations = 0
         self._balance_cap_hits = 0
+        # Depth-discovery telemetry: searches run for real and their probes.
+        self._sampled_lookups = 0
+        self._sampled_lookup_probes = 0
         # Incremental load-assignment state: the measure the current
         # assignment was computed from, and the groups whose assignment has
         # been perturbed (by splits, merges, handoffs or churn) since then.
@@ -981,6 +984,8 @@ class FlowSimulator:
             key = self._lookup_keygen.generate()
             result = self._lookup_client.find_group(key, use_cache=False)
             sampled_messages += result.messages
+            self._sampled_lookup_probes += result.probes
+        self._sampled_lookups += sample_size
         average_cost = sampled_messages / sample_size
         remainder = max(0.0, lookups_needed - sample_size)
         self._system.messages.add(MessageCategory.LOOKUP, remainder * average_cost)
@@ -1126,6 +1131,8 @@ class FlowSimulator:
                     **self._system.work_stats(),
                     "balance_iterations": self._balance_iterations,
                     "balance_cap_hits": self._balance_cap_hits,
+                    "sampled_lookups": self._sampled_lookups,
+                    "sampled_lookup_probes": self._sampled_lookup_probes,
                 }.items()
             },
         )

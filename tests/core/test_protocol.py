@@ -103,6 +103,55 @@ class TestResolution:
         )
 
 
+class TestProbeValidation:
+    """A malformed probe is refused before it is routed, memoised or counted."""
+
+    @staticmethod
+    def observable(system: ClashSystem) -> tuple:
+        return (
+            system.transport.envelopes_delivered,
+            system.dht_stats(),
+            system.messages.snapshot(),
+        )
+
+    @pytest.mark.parametrize("offset", [-3, -1, 1, 4])
+    def test_a_key_of_another_width_is_refused_before_it_is_routed(
+        self, system: ClashSystem, offset: int
+    ):
+        width = system.config.key_bits + offset
+        before = self.observable(system)
+        with pytest.raises(ValueError, match="key width"):
+            system.route_accept_object(IdentifierKey(value=5, width=width), 3, "c0")
+        assert self.observable(system) == before
+
+    @pytest.mark.parametrize("depth_offset", [-1, 1, 10])
+    def test_an_estimated_depth_outside_the_key_is_refused(
+        self, system: ClashSystem, depth_offset: int
+    ):
+        key_bits = system.config.key_bits
+        depth = -1 if depth_offset < 0 else key_bits + depth_offset
+        key = IdentifierKey(value=5, width=key_bits)
+        before = self.observable(system)
+        with pytest.raises(ValueError, match="estimated_depth"):
+            system.route_accept_object(key, depth, "c0")
+        assert self.observable(system) == before
+
+    @pytest.mark.parametrize("depth", [True, 2.0, "3"])
+    def test_an_estimated_depth_that_is_not_an_int_is_refused(self, system: ClashSystem, depth):
+        key = IdentifierKey(value=5, width=system.config.key_bits)
+        before = self.observable(system)
+        with pytest.raises(TypeError):
+            system.route_accept_object(key, depth, "c0")
+        assert self.observable(system) == before
+
+    def test_both_ends_of_the_depth_range_are_accepted(self, system: ClashSystem):
+        key = IdentifierKey(value=5, width=system.config.key_bits)
+        for depth in (0, system.config.key_bits):
+            reply, cost = system.route_accept_object(key, depth, "c0")
+            assert reply.server in system.server_names()
+            assert cost >= 2
+
+
 class TestSplitting:
     def test_split_server_transfers_right_child(self, system: ClashSystem):
         group, owner = system.find_active_group(

@@ -97,6 +97,28 @@ class TestChordNode:
                 reference_closest_preceding_finger(node, space, target)
             ), (node_id, finger, target)
 
+    def test_every_key_predecessor_node_triple_matches_the_interval_test(self):
+        """``owns`` against ``in_half_open_interval`` over a 16-point ring:
+        wrap-around, a key on either end and ``predecessor == node_id`` (the
+        single-node ring, which owns everything)."""
+        space = HashSpace(bits=4)
+        for key, predecessor, node_id in itertools.product(range(space.size), repeat=3):
+            node = ChordNode(node_id=node_id, name="n", predecessor=predecessor)
+            assert node.owns(space, key) == space.in_half_open_interval(
+                key, predecessor, node_id
+            ), (key, predecessor, node_id)
+
+    def test_owns_validates_the_key(self):
+        space = HashSpace(bits=4)
+        node = ChordNode(node_id=3, name="s0", predecessor=3)
+        for key in (-1, 16, 2.0, True, None):
+            with pytest.raises(ValueError):
+                node.owns(space, key)
+        # With no predecessor the node cannot answer, whatever the key.
+        for key in (0, 16):
+            with pytest.raises(ValueError, match="no predecessor"):
+                ChordNode(node_id=3, name="s0").owns(space, key)
+
     @pytest.mark.parametrize("node_count", [1, 2, 3, 7, 16])
     def test_walks_on_small_rings_match_the_reference_walk(self, node_count):
         """Every (start, key) lookup on a 6-bit ring: same hops, same path."""

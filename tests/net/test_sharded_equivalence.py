@@ -32,7 +32,6 @@ from equivalence import (
     run_flow,
 )
 
-from repro.core.config import ClashConfig
 from repro.core.protocol import ClashSystem
 from repro.dht.router import ShardedRingRouter, SingleRingRouter
 from repro.net import TRANSPORTS

@@ -162,3 +162,34 @@ def test_paper_claims_gate_names_each_broken_row():
     reshaping = dict(clean, phases={"C": dict(quiet, end_splits=2)})
     assert bench.paper_claim_failures(reshaping, churn_free=False) == []
     assert len(bench.paper_claim_failures(reshaping, churn_free=True)) == 1
+
+
+@pytest.mark.bench_smoke
+def test_paper_claims_gate_bounds_the_probes_per_lookup():
+    """Row 8: a depth search averages at most log2(key_bits) + 2 probes
+    (6.58 at 24-bit keys), churned or not."""
+    bench = _import_from_path(BENCH_DIR / "bench_paper_scale.py")
+    quiet = {"end_load_percent": 80.0, "end_splits": 0, "end_merges": 0}
+    run = {"balance_cap_hits": 0, "overload_percent": 90.0, "phases": {"A": quiet}, "key_bits": 24}
+    for churn_free in (True, False):
+        assert bench.paper_claim_failures(dict(run, probes_per_lookup=6.5), churn_free) == []
+        failures = bench.paper_claim_failures(dict(run, probes_per_lookup=6.6), churn_free)
+        assert failures == [
+            "a depth search takes 6.60 probes on average, over log2(key_bits) + 2 = 6.58"
+        ]
+
+
+@pytest.mark.bench_smoke
+def test_paper_scale_metrics_record_the_sampled_depth_searches():
+    """``_metrics`` turns the simulator's two lookup notes into the row-8 number."""
+    bench = _import_from_path(BENCH_DIR / "bench_paper_scale.py")
+    from repro.experiments.runner import ExperimentScale
+
+    scale = ExperimentScale.scaled(factor=100, phase_periods=1)
+    metrics = bench._metrics(bench._run(scale))
+    assert metrics["key_bits"] == scale.config().key_bits
+    assert metrics["sampled_lookups"] > 0
+    assert metrics["probes_per_lookup"] == round(
+        metrics["sampled_lookup_probes"] / metrics["sampled_lookups"], 9
+    )
+    assert 1.0 <= metrics["probes_per_lookup"] <= metrics["key_bits"] + 1

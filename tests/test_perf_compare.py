@@ -103,3 +103,21 @@ class TestLayers:
         monkeypatch.setattr(perf_compare, "run_once", lambda *args, **kwargs: next(runs))
         assert not perf_compare.compare_layers("lookup_storm", ROOT, 11, self.ARGS)
         assert flagged in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "base_counters, change_counters, agrees",
+        [
+            ({"memo_hits": 7}, {"memo_hits": 7, "sampled_lookups": 40}, True),
+            ({"memo_hits": 7, "sampled_lookups": 40}, {"memo_hits": 7}, False),
+        ],
+    )
+    def test_a_counter_only_the_change_reports_is_new_not_a_difference(
+        self, monkeypatch, capsys, base_counters, change_counters, agrees
+    ):
+        run = {"metrics": {}, "digests": ["cafe"]}
+        runs = iter([{**run, "counters": base_counters}, {**run, "counters": change_counters}])
+        monkeypatch.setattr(perf_compare, "run_once", lambda *args, **kwargs: next(runs))
+        assert perf_compare.compare_layers("lookup_storm", ROOT, 11, self.ARGS) is agrees
+        printed = capsys.readouterr().out
+        assert ("  new" in printed) is agrees
+        assert ("DIFFERS" in printed) is not agrees

@@ -26,7 +26,8 @@ counters and the round digests, which a pure speed-up leaves identical.
 
 The exit status is non-zero when any metric regressed, the change failed a
 larger share of its operations than the base, or (``--layers``) a simulated
-counter or a round digest differs between the sides.
+counter or a round digest differs between the sides (a counter only the
+change reports is printed as new, not as a difference).
 
 Usage::
 
@@ -210,11 +211,14 @@ def compare_layers(workload: str, base_tree: pathlib.Path, seed: int, args) -> b
         )
     same = base["digests"] == change["digests"]
     print(f"  round digests {'identical' if same else 'DIFFER'}: {base['digests']} {change['digests']}")
+    # A counter only the change reports has nothing to equal: it is listed as
+    # new.  One the change stopped reporting differs like a moved value.
     for name in sorted(base["counters"].keys() | change["counters"].keys()):
         values = [run["counters"].get(name) for run in (base, change)]
-        same = same and values[0] == values[1]
-        print(f"  {name:36s} base {values[0]!s:>14s}  change {values[1]!s:>14s}"
-              + ("" if values[0] == values[1] else "  DIFFERS"))  # fmt: skip
+        new = name not in base["counters"]
+        same = same and (new or values[0] == values[1])
+        flag = "  new" if new else "" if values[0] == values[1] else "  DIFFERS"
+        print(f"  {name:36s} base {values[0]!s:>14s}  change {values[1]!s:>14s}{flag}")
     return same
 
 
