@@ -105,15 +105,18 @@ profile-paper:
 	PYTHONPATH=src python benchmarks/bench_paper_scale.py --profile $(PROFILE_FLAGS)
 
 # Adversarial schedule fuzz smoke: a fixed-seed, small-budget sweep of
-# delivery orders and churn timings over the async transport (single ring,
-# 4 static shards and 4 adaptively partitioned shards), each structural
-# variant run with both the incremental work-queue balance pass and the
-# reference probe-everyone scan (--fuzz-full-scan), with the invariant
-# oracle at every quiescent point.  The run is deterministic; it must find
-# zero violations (exit 1 otherwise).  See docs/FUZZING.md.
+# delivery orders and churn timings over the async transport and the
+# batching transport — the one that runs the report-diff exchange, so its
+# bookkeeping meets joins, failures and rebalances — (single ring, 4 static
+# shards and 4 adaptively partitioned shards), each structural variant run
+# with both the incremental work-queue balance pass and the reference
+# probe-everyone scan (--fuzz-full-scan), with the invariant oracle at every
+# quiescent point.  Budget 18 covers the whole 12-case grid on seed 0 and
+# half of it on seed 1.  The run is deterministic; it must find zero
+# violations (exit 1 otherwise).  See docs/FUZZING.md.
 fuzz-smoke:
 	PYTHONPATH=src python -m repro fuzz --scale-factor 100 --phase-periods 2 \
-		--fuzz-budget 12 --fuzz-seeds 0:2 --fuzz-transports async \
+		--fuzz-budget 18 --fuzz-seeds 0:2 --fuzz-transports async,batching \
 		--fuzz-shards 1,4 --join-rate 0.01 --fail-rate 0.01 --fuzz-full-scan \
 		--verify-invariants --quiet --output-dir /tmp/fuzz-smoke
 

@@ -268,11 +268,14 @@ class ClashSystem:
         self._pass_cursor = -1
         self._pass_boundary = 0
         # Report-diff bookkeeping: per child server, the (parent, group)
-        # pairs whose delivered reports still stand on the parents, plus the
-        # parents touched by the most recent exchange (the consolidation
-        # pass's extra work source: report arrival does not mark a server
-        # load-dirty, but it can create merge candidates).
+        # pairs whose delivered reports still stand on the parents; its
+        # reverse index (parent → children with such a pair); the names of
+        # failed servers; and the parents touched by the most recent exchange
+        # (the consolidation pass's extra work source: report arrival does
+        # not mark a server load-dirty, but it can create merge candidates).
         self._delivered_reports: dict[str, list[tuple[str, KeyGroup]]] = {}
+        self._report_children: dict[str, set[str]] = {}
+        self._departed_names: set[str] = set()
         self._standing_report_total = 0
         self._last_report_recipients: set[str] = set()
         #: Fresh overload/underload probes performed by load checks (telemetry
@@ -603,11 +606,6 @@ class ClashSystem:
         retired, self._retired_assignments = self._retired_assignments, []
         return retired
 
-    def clear_all_child_reports(self) -> None:
-        """Drop every server's child load reports (the full exchange's wipe)."""
-        for server in self._servers.values():
-            server.clear_child_reports()
-
     def work_stats(self) -> dict[str, int]:
         """Counters measuring how much work the balance passes actually did.
 
@@ -883,22 +881,31 @@ class ClashSystem:
         """
         return not self.force_full_load_scan and self._transport.supports_report_diff
 
-    def _invalidate_report_diff(self) -> None:
-        """Fall back to a full report exchange (membership or mode change).
+    def _forget_reports_of(self, failed: str) -> None:
+        """Drop a failed server's report-diff state, in O(its pairs).
 
-        Wipes the delivered-report bookkeeping *and* the reports parents
-        currently hold, and marks every child for re-delivery — together that
-        restores exactly the state a period-boundary clear plus a full
-        exchange would produce.  A no-op while no diff bookkeeping exists, so
-        transports that never run the diff exchange (event, async) keep their
-        mid-pass semantics untouched.
+        Its own reports are retracted from their parents, and the pairs other
+        children addressed *to* it are dropped: a full exchange would no
+        longer post them.  Every other report stands — the servers a
+        membership event moves groups between are dirty already, and the
+        next exchange re-posts only theirs.
         """
-        if not self._delivered_reports:
-            return
-        self._delivered_reports.clear()
-        self._standing_report_total = 0
-        self.clear_all_child_reports()
-        self._dirty_reports.update(self._servers)
+        own = self._delivered_reports.pop(failed, [])
+        for parent_name, group in own:
+            parent = self._servers.get(parent_name)
+            if parent is not None:
+                parent.discard_child_report(group)
+                self._report_children[parent_name].discard(failed)
+        dropped = len(own)
+        for child in self._report_children.pop(failed, ()):
+            pairs = self._delivered_reports.get(child)
+            if pairs is None:
+                continue  # the failed server reported to itself
+            kept = [pair for pair in pairs if pair[0] != failed]
+            dropped += len(pairs) - len(kept)
+            self._delivered_reports[child] = kept
+        self._standing_report_total -= dropped
+        self._departed_names.add(failed)
 
     def exchange_load_reports(self) -> int:
         """Deliver every leaf's periodic load report to its parent server.
@@ -924,10 +931,9 @@ class ClashSystem:
             # have taken such a group over and re-report it this exchange.
             for name in self._dirty_reports:
                 for parent_name, group in self._delivered_reports.get(name, ()):
-                    parent = self._servers.get(parent_name)
-                    if parent is not None:
-                        parent.discard_child_report(group)
-                        recipients.add(parent_name)
+                    self._servers[parent_name].discard_child_report(group)
+                    self._report_children[parent_name].discard(name)
+                    recipients.add(parent_name)
             # Every unchanged child's reports already stand on the parents,
             # bit-identical; only the accounting is replayed for them
             # (``_standing_report_total`` tracks their aggregate count so
@@ -961,6 +967,7 @@ class ClashSystem:
                     )
                     posted += 1
                     kept.append((parent_name, report.group))
+                    self._report_children.setdefault(parent_name, set()).add(name)
                     recipients.add(parent_name)
                 self._delivered_reports[name] = kept
                 self._standing_report_total += len(kept) - (
@@ -970,9 +977,15 @@ class ClashSystem:
             # Full exchange: every child re-posts, so every standing report
             # is wiped first — as the diff exchange retracts them — or a
             # report for a group its child no longer measures would linger.
-            # Diff bookkeeping left from before a mode switch goes with them.
-            self._invalidate_report_diff()
-            self.clear_all_child_reports()
+            # Diff bookkeeping left from before a mode switch goes with them,
+            # and every child re-delivers once the diff exchange resumes.
+            if self._delivered_reports:
+                self._delivered_reports.clear()
+                self._report_children.clear()
+                self._standing_report_total = 0
+                self._dirty_reports.update(self._servers)
+            for server in self._servers.values():
+                server.clear_child_reports()
             # Snapshot: an event-transport churn event may alter membership
             # while a report is in flight.
             for server in list(self._servers.values()):
@@ -1376,9 +1389,10 @@ class ClashSystem:
         self._servers[joiner] = server
         insort(self._sorted_names, joiner)
         self._track_new_server(joiner)
-        # Membership changed: standing report-diff state may address groups
-        # the handoff below moves, so fall back to a full exchange.
-        self._invalidate_report_diff()
+        if joiner in self._departed_names:
+            # A returning name: children may still address reports to it that
+            # no bookkeeping records, so every child re-delivers.
+            self._dirty_reports.update(self._servers)
         self._transport.bind(joiner, self._make_endpoint(server), shard=shard)
         # Ring membership changed: cached DHT routes are stale.
         self._transport.invalidate_routes()
@@ -1473,10 +1487,8 @@ class ClashSystem:
         ]
         self._router.set_partition(new_map)
         # The key → shard → server resolution changed: cached DHT routes are
-        # stale even when no active group happens to move, and standing
-        # report-diff state may address groups the migration loop moves.
+        # stale even when no active group happens to move.
         self._transport.invalidate_routes()
-        self._invalidate_report_diff()
         migrated: dict[KeyGroup, str] = {}
         for group, former in moving:
             new_owner = self._router.owner_of_key(group.virtual_key)
@@ -1529,9 +1541,7 @@ class ClashSystem:
                         break
         del self._servers[failed]
         self._untrack_server(failed)
-        # Membership changed: survivors' standing reports may address groups
-        # the recovery below re-homes, so fall back to a full exchange.
-        self._invalidate_report_diff()
+        self._forget_reports_of(failed)
         self._transport.unbind(failed)
         self._router.remove_server(failed)
         reassigned: dict[KeyGroup, str] = {}
@@ -1596,6 +1606,12 @@ class ClashSystem:
            ring that owns the group's virtual key.
         6. No per-server index names a server outside the registry: a
            departed server is forgotten everywhere (:meth:`_untrack_server`).
+        7. The report-diff bookkeeping is exact: every pair of a child with
+           no pending re-delivery stands on its parent as that child's
+           report, every report standing under the diff exchange is some
+           child's pair, the standing total counts every pair, and the
+           reverse index names exactly the children with a pair to each
+           parent.
         """
         groups = sorted(self._group_owner)
         pair = first_overlapping_pair(groups)
@@ -1640,10 +1656,30 @@ class ClashSystem:
                 for pairs in self._delivered_reports.values()
                 for parent, _group in pairs
             ],
+            "_report_children": self._report_children,
+            "_report_children (children)": set().union(*self._report_children.values()),
         }
         for label, names in indexes.items():
             strangers = set(names) - self._servers.keys()
             assert not strangers, f"{label} still names departed {sorted(strangers)}"
+        children_of: dict[str, set[str]] = {}
+        for child, pairs in self._delivered_reports.items():
+            for parent, group in pairs:
+                children_of.setdefault(parent, set()).add(child)
+                report = self._servers[parent].child_reports().get(group)
+                assert child in self._dirty_reports or (
+                    getattr(report, "child_server", None) == child
+                ), f"{child}'s report for {group} does not stand on {parent}"
+        if self.report_diff_active:
+            for parent, server in self._servers.items():
+                for group, report in server.child_reports().items():
+                    assert (parent, group) in self._delivered_reports.get(
+                        report.child_server, ()
+                    ), f"{parent} holds a report for {group} no bookkeeping records"
+        standing = sum(map(len, self._delivered_reports.values()))
+        assert self._standing_report_total == standing, f"standing report total != {standing}"
+        indexed = {parent: kids for parent, kids in self._report_children.items() if kids}
+        assert indexed == children_of, "the report reverse index is stale"
         if self._router.shard_count > 1:
             self.verify_shard_invariants()
 

@@ -19,6 +19,7 @@ models the network and charges message costs.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.app.load_model import LoadModel
@@ -178,10 +179,10 @@ class ClashServer:
     # ------------------------------------------------------------------ #
 
     def reset_interval(self) -> None:
-        """Clear per-interval measurements (rates and child load reports)."""
+        """Clear per-interval measurements (rates and overrides).  Child load
+        reports measure the children; the report exchange owns them."""
         self._group_rates.clear()
         self._group_query_counts.clear()
-        self._child_reports.clear()
         self._unmeasured.clear()
         self._touch_rates()
 
@@ -189,8 +190,8 @@ class ClashServer:
         """Drop the child load reports without touching the measured rates.
 
         The report exchange owns how long a report stands: the full exchange
-        wipes every parent before its children re-post, and a membership
-        change wipes them with the report-diff bookkeeping.
+        wipes every parent before its children re-post, and the diff exchange
+        retracts a changed child's reports one by one.
         """
         if self._child_reports:
             self._child_reports.clear()
@@ -505,6 +506,10 @@ class ClashServer:
     def receive_load_report(self, report: LoadReport) -> None:
         """Record a child's load report for the current interval."""
         self._child_reports[report.group] = report
+
+    def child_reports(self) -> Mapping[KeyGroup, LoadReport]:
+        """The child load reports standing here, by group (do not mutate)."""
+        return self._child_reports
 
     def discard_child_report(self, group: KeyGroup) -> None:
         """Forget the child load report recorded for ``group`` (if any).
