@@ -26,16 +26,10 @@ lint:
 test:
 	$(PYTEST) -x -q
 
-# The tier-1 suite under the coverage tracer, failing below COVERAGE_FLOOR.
-# Uses pytest-cov when installed; otherwise falls back to the stdlib tracer
-# in tools/coverage_floor.py (same gate, ~1pt measurement difference).
+# The tests/ suite under the stdlib line tracer in tools/coverage_floor.py,
+# failing below COVERAGE_FLOOR.  One tool, no third-party dependency.
 coverage:
-	@if python -c "import pytest_cov" >/dev/null 2>&1; then \
-		$(PYTEST) -q --cov=repro --cov-report=term --cov-fail-under=$(COVERAGE_FLOOR); \
-	else \
-		echo "pytest-cov not installed; falling back to tools/coverage_floor.py"; \
-		PYTHONPATH=src python tools/coverage_floor.py --fail-under $(COVERAGE_FLOOR); \
-	fi
+	PYTHONPATH=src python tools/coverage_floor.py --fail-under $(COVERAGE_FLOOR)
 
 # End-to-end CLI smoke runs: fig4 and churn on every registered transport,
 # single ring and 4 shards under every partition policy (~40 s).

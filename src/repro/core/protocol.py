@@ -27,8 +27,9 @@ only their own tables, exactly as in the paper.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.client import ClashClient
 from repro.core.config import ClashConfig
@@ -222,9 +223,9 @@ class ClashSystem:
         # join and failure so churn drivers draw victims without re-sorting.
         self._sorted_names: list[str] = sorted(server_names)
         self._group_owner: dict[KeyGroup, str] = {}
-        # Ring-position memo for the join handoff: virtual-key value → the
-        # hash-space point f(virtual key).  One memo serves every shard ring,
-        # which is only sound while all rings hash identically.
+        # Ring-position memo: virtual-key value → the hash-space point
+        # f(virtual key).  One memo serves every shard ring, which is only
+        # sound while all rings hash identically.
         rings = self._router.rings()
         self._position_hash = rings[0].hash_function
         assert all(
@@ -233,6 +234,9 @@ class ClashSystem:
             for ring in rings
         ), "shard rings must share one hash function"
         self._ring_positions: dict[int, int] = {}
+        # Every registered group by its ring point, sorted: a join reads its
+        # movers off one arc of it instead of scanning the registry.
+        self._arc_index: list[tuple[int, KeyGroup]] = []
         # ACCEPT_OBJECT destinations by virtual-key value (route_accept_object).
         self._probe_addresses: dict[int, DhtAddress] = {}
         # Maintained indexes over the ownership registry.  They are mutated
@@ -548,6 +552,7 @@ class ClashSystem:
         if previous is not None:
             self._unregister_group(group)
         self._group_owner[group] = owner
+        insort(self._arc_index, (self._ring_position(group), group))
         self._owner_counts[owner] = self._owner_counts.get(owner, 0) + 1
         self._depth_counts[group.depth] = self._depth_counts.get(group.depth, 0) + 1
         self._depth_total += group.depth
@@ -558,6 +563,8 @@ class ClashSystem:
         owner = self._group_owner.pop(group, None)
         if owner is None:
             return
+        index = self._arc_index
+        del index[bisect_left(index, (self._ring_position(group), group))]
         remaining = self._owner_counts[owner] - 1
         if remaining:
             self._owner_counts[owner] = remaining
@@ -572,19 +579,24 @@ class ClashSystem:
         self._touched_groups.add(group)
         self._retired_assignments.append((group, owner))
 
-    def _memoise_ring_position(self, virtual_value: int) -> int:
-        """Hash a virtual key (given by value) onto the ring and remember the point.
+    def _ring_position(self, group: KeyGroup) -> int:
+        """The group's point f(virtual key) on the ring, memoised by key value.
 
         The point is a pure function of the virtual key — every shard ring
         shares one hash function — so entries never go stale: membership
         changes and partition-map installs move *arcs and shard boundaries*,
         not points.  Keying by value lets a whole left-descendant chain (same
-        virtual key at every depth) share one entry.
+        virtual key at every depth) share one entry, so a split hashes only
+        its new right child.
         """
-        if len(self._ring_positions) >= RING_POSITION_MEMO_LIMIT:
-            self._ring_positions.clear()
-        position = self._position_hash.hash_value(virtual_value, self._config.key_bits)
-        self._ring_positions[virtual_value] = position
+        key_bits = self._config.key_bits
+        virtual_value = group.prefix << (key_bits - group.depth)
+        position = self._ring_positions.get(virtual_value)
+        if position is None:
+            if len(self._ring_positions) >= RING_POSITION_MEMO_LIMIT:
+                self._ring_positions.clear()
+            position = self._position_hash.hash_value(virtual_value, key_bits)
+            self._ring_positions[virtual_value] = position
         return position
 
     def drain_touched_groups(self) -> set[KeyGroup]:
@@ -1360,7 +1372,7 @@ class ClashSystem:
         the transport and inserted into the ring (``add_node`` +
         ``stabilise``), after which the keys between its predecessor and its
         own identifier hash to it.  Every *active* key group whose virtual key
-        now maps to the joiner — its memoised ring position lies in the
+        now maps to the joiner — its row in the arc index lies in the
         joiner's arc and, on a sharded deployment, its key on the joiner's
         shard — is handed over (:meth:`_hand_over`), in registry sort order.
         Consolidation linkage survives the move for right children: the
@@ -1397,28 +1409,20 @@ class ClashSystem:
         # Ring membership changed: cached DHT routes are stale.
         self._transport.invalidate_routes()
         # The joiner took over exactly the hash keys in the clockwise arc
-        # (predecessor, joiner] of its shard ring.  ``span`` is that arc's
-        # length (the whole ring when the joiner is alone on it), and a point
-        # lies in the arc iff its clockwise distance to the joiner's id is
-        # shorter — one integer compare per registered group.
+        # (predecessor, joiner] of its shard ring: one slice of the arc index,
+        # or two when the arc wraps through zero (or is the whole ring, when
+        # the joiner is alone on it).
         low, high = self._router.rings()[shard].owned_arc(joiner)
-        size = self._space.size
-        span = (high - low) % size or size
-        key_bits = self._config.key_bits
-        known_position = self._ring_positions.get
+        index = self._arc_index
+        start = bisect_right(index, low, key=itemgetter(0))
+        end = bisect_right(index, high, key=itemgetter(0))
+        arc = index[start:end] if low < high else index[start:] + index[:end]
         moving = []
-        for group, owner in self._group_owner.items():
-            virtual_value = group.prefix << (key_bits - group.depth)
-            position = known_position(virtual_value)
-            if position is None:
-                position = self._memoise_ring_position(virtual_value)
+        for _position, group in arc:
+            owner = self._group_owner[group]
             # The shard check follows the installed partition map, which a
             # rebalance replaces: it is asked afresh, for the candidates only.
-            if (
-                (high - position) % size < span
-                and owner != joiner
-                and self._router.shard_of_key(group.virtual_key) == shard
-            ):
+            if owner != joiner and self._router.shard_of_key(group.virtual_key) == shard:
                 moving.append((group, owner))
         # Handoffs run in registry sort order; sorting the movers alone gives
         # the same sequence as sorting the whole registry first.
@@ -1503,12 +1507,15 @@ class ClashSystem:
         this is the natural completion a deployable system needs.  Recovery
         proceeds as the surviving servers would: the failed node is removed
         from the ring, and every key group it actively managed is re-assigned
-        to the server its virtual key now hashes to.  When the failed node was
-        the recorded right child of a surviving parent entry, the parent
+        to the server its virtual key now hashes to.  When the orphan's own
+        ``ParentID`` names a surviving server whose inactive parent entry
+        still records the failed node as its right child, that parent
         re-issues the ``ACCEPT_KEYGROUP`` (preserving the consolidation
-        linkage); otherwise the group restarts as a root entry on its new
-        owner.  Persistent queries stored on the failed server are lost — they
-        are soft state that clients re-register, exactly as in the paper's
+        linkage); otherwise — a root, a ``"self"`` parent that died with the
+        node, a departed parent, or a parent entry that no longer names the
+        node — the group restarts as a root entry on its new owner.
+        Persistent queries stored on the failed server are lost — they are
+        soft state that clients re-register, exactly as in the paper's
         long-lived query model.
 
         Returns the mapping from re-assigned group to its new owner.
@@ -1526,19 +1533,19 @@ class ClashSystem:
         orphaned = list(failed_server.active_groups())
         # Remember, for each orphaned group, which surviving server (if any)
         # holds the inactive parent entry naming the failed node as its child.
+        # Only the server the orphan's ParentID names can: one table probe
+        # per orphan, as a deployed server would make.
         surviving_parent: dict[KeyGroup, str] = {}
         for group in orphaned:
-            if group.depth == 0:
+            holder = failed_server.table.entry(group).parent_id
+            if holder in (SELF_PARENT, failed) or holder not in self._servers:
                 continue
+            parent_table = self._servers[holder].table
             parent = group.parent()
-            for name, server in self._servers.items():
-                if name == failed:
-                    continue
-                if parent in server.table:
-                    entry = server.table.entry(parent)
-                    if not entry.active and entry.right_child_id == failed:
-                        surviving_parent[group] = name
-                        break
+            if parent in parent_table:
+                entry = parent_table.entry(parent)
+                if not entry.active and entry.right_child_id == failed:
+                    surviving_parent[group] = holder
         del self._servers[failed]
         self._untrack_server(failed)
         self._forget_reports_of(failed)
@@ -1601,9 +1608,11 @@ class ClashSystem:
            lives on the retrying server); the base-case mapping is what makes
            client depth discovery converge.
         4. Per-server table invariants hold.
-        5. Every memoised ring position of a registered group equals the
-           position recomputed from scratch with the hash function of the
-           ring that owns the group's virtual key.
+        5. Every memoised ring position of a registered group, and the arc
+           index as a whole, equal the positions recomputed from scratch with
+           the hash function of the ring that owns the group's virtual key:
+           the index holds exactly one ``(position, group)`` row per
+           registered group, in sorted order.
         6. No per-server index names a server outside the registry: a
            departed server is forgotten everywhere (:meth:`_untrack_server`).
         7. The report-diff bookkeeping is exact: every pair of a child with
@@ -1633,14 +1642,16 @@ class ClashSystem:
                     f"registry does not record {name} as owner of {group}"
                 )
         rings = self._router.rings()
+        rows = []
         for group in self._group_owner:
             key = group.virtual_key
+            position = rings[self._router.shard_of_key(key)].hash_function.hash_key(key)
             memoised = self._ring_positions.get(key.value)
-            if memoised is not None:
-                ring = rings[self._router.shard_of_key(key)]
-                assert memoised == ring.hash_function.hash_key(key), (
-                    f"memoised ring position {memoised} of {group} is stale"
-                )
+            assert memoised in (None, position), (
+                f"memoised ring position {memoised} of {group} is stale"
+            )
+            rows.append((position, group))
+        assert self._arc_index == sorted(rows), "the arc index is stale"
         indexes = {
             "_dirty_load_servers": self._dirty_load_servers,
             "_dirty_split": self._dirty_split,

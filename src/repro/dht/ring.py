@@ -28,7 +28,7 @@ affected state) per event.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from repro.dht.hashspace import HashSpace
@@ -378,10 +378,7 @@ class ChordRing:
                 for offset in range(1, min(self._successor_list_length, count) + 1)
             ]
             node.successor_list = successors if count > 1 else [node_id]
-            node.fingers = [
-                self._successor_id(self._space.finger_start(node_id, finger_index))
-                for finger_index in range(self._space.bits)
-            ]
+            node.fingers = self._fingers_of(node_id)
         self._full_rebuilds += 1
         self._finger_recomputations += count * self._space.bits
         self._needs_full_rebuild = False
@@ -441,10 +438,7 @@ class ChordRing:
         # The joiner's own state, from scratch against the updated order.
         node.predecessor = predecessor_id
         node.successor_list = self._successor_list_at(position)
-        node.fingers = [
-            self._successor_id(space.finger_start(node_id, finger_index))
-            for finger_index in range(bits)
-        ]
+        node.fingers = self._fingers_of(node_id)
         self._finger_recomputations += bits
         # Ring neighbourhood.
         successor = self._ring_nodes[successor_id]
@@ -519,16 +513,21 @@ class ChordRing:
     def _successor_id(self, key: int) -> int:
         """The id of the node owning ``key`` (first node clockwise from ``key``)."""
         ids = self._sorted_ids
-        low, high = 0, len(ids)
-        while low < high:
-            mid = (low + high) // 2
-            if ids[mid] < key:
-                low = mid + 1
-            else:
-                high = mid
-        if low == len(ids):
-            return ids[0]
-        return ids[low]
+        return ids[bisect_left(ids, key) % len(ids)]
+
+    def _fingers_of(self, node_id: int) -> list[int]:
+        """Node ``node_id``'s finger table against the current ring order.
+
+        Finger ``i`` is the successor of ``node_id + 2**i`` (mod the ring
+        size); past the largest id the bisection wraps to the smallest.
+        """
+        ids = self._sorted_ids
+        count = len(ids)
+        size = self._space.size
+        return [
+            ids[bisect_left(ids, (node_id + (1 << index)) % size) % count]
+            for index in range(self._space.bits)
+        ]
 
     # ------------------------------------------------------------------ #
     # Lookups

@@ -8,7 +8,10 @@ import pytest
 
 from repro.core.config import ClashConfig
 from repro.core.protocol import ClashSystem
+from repro.core.server_table import ServerTable
+from repro.dht.partition import PartitionMap
 from repro.keys.identifier import IdentifierKey
+from repro.keys.keygroup import KeyGroup
 from repro.util.rng import RandomStream
 
 
@@ -141,3 +144,104 @@ class TestDepartedServerIsForgotten:
         forget(system, victim)
         with pytest.raises(AssertionError, match=f"{re.escape(index)} still names departed"):
             system.verify_invariants()
+
+
+def _shed_split(system: ClashSystem, group: KeyGroup):
+    """Overload ``group`` and split it onto a remote right child."""
+    owner = system.owner_of_group(group)
+    system.server(owner).set_group_rate(group, 3 * system.config.server_capacity)
+    outcome = system.split_server(owner)
+    assert outcome is not None and outcome.shed
+    return outcome
+
+
+class TestFailureFollowsParentID:
+    """Recovery asks only the server an orphan's ``ParentID`` names.
+
+    An orphan's consolidation linkage survives the failure only when its own
+    entry names a live parent whose inactive parent entry still records the
+    failed node as the right child; everything else restarts as a root.
+    """
+
+    # 12-bit keys bootstrapped at depth 4 on four shards: sixteen root blocks,
+    # so a partition map can move one block to a neighbouring shard and back.
+    SHARDED = ClashConfig.small_scale().with_overrides(initial_depth=4)
+
+    def _partition(self, cuts: list[int], version: int) -> PartitionMap:
+        key_bits = self.SHARDED.key_bits
+        block = 1 << (key_bits - self.SHARDED.initial_depth)
+        return PartitionMap(
+            boundaries=(0, *(cut * block for cut in cuts), 1 << key_bits),
+            key_bits=key_bits,
+            granularity_depth=self.SHARDED.initial_depth,
+            version=version,
+        )
+
+    def test_a_stale_parent_entry_does_not_revive_a_root(self):
+        """A rebalance round trip leaves a parent entry naming the child's
+        server, while the child's own entry became a root: the orphan
+        restarts as a root instead of re-linking to that stale entry."""
+        system = ClashSystem.create(
+            self.SHARDED, server_count=16, rng=RandomStream(99), shards=4
+        )
+        outcome = _shed_split(system, KeyGroup(prefix=3, depth=4, width=self.SHARDED.key_bits))
+        parent, child, right = outcome.parent_server, outcome.child_server, outcome.right
+        # Block 3 moves to shard 1 and back; both migrations restart it as roots.
+        system.rebalance_partition(self._partition([3, 8, 12], version=1))
+        system.rebalance_partition(self._partition([4, 8, 12], version=2))
+        assert system.owner_of_group(right) == child
+        assert system.server(child).table.entry(right).parent_id is None
+        stale = system.server(parent).table.entry(outcome.group)
+        assert not stale.active and stale.right_child_id == child
+        system.verify_invariants()
+
+        new_owner = system.handle_server_failure(child)[right]
+        assert system.server(new_owner).table.entry(right).is_root
+        assert stale.right_child_id == child, "the stale entry was re-linked"
+        system.verify_invariants()
+
+    @pytest.mark.parametrize("names", ["the victim", "a departed server"])
+    def test_a_parent_id_naming_no_live_parent_restarts_as_root(
+        self, system: ClashSystem, names
+    ):
+        """The parent entry naming the victim still stands elsewhere, but the
+        orphan's ``ParentID`` does not point at it: no linkage to revive."""
+        key = IdentifierKey(value=0, width=system.config.key_bits)
+        outcome = _shed_split(system, system.find_active_group(key)[0])
+        parent, child, right = outcome.parent_server, outcome.child_server, outcome.right
+        if names == "the victim":
+            named = child
+        else:
+            named = next(
+                name for name in system.sorted_server_names() if name not in (parent, child)
+            )
+            system.handle_server_failure(named)
+        system.server(child).table.entry(right).parent_id = named
+        parent_entry = system.server(parent).table.entry(outcome.group)
+        assert not parent_entry.active and parent_entry.right_child_id == child
+
+        new_owner = system.handle_server_failure(child)[right]
+        assert system.server(new_owner).table.entry(right).is_root
+        assert parent_entry.right_child_id == child
+        system.verify_invariants()
+
+    def test_a_failure_probes_one_parent_table_per_orphan(self, system, monkeypatch):
+        _split_some_groups(system, 40)
+        victim = max(
+            system.server_names(), key=lambda name: len(system.server(name).active_groups())
+        )
+        victim_table = system.server(victim).table
+        orphans = len(system.server(victim).active_groups())
+        assert orphans >= 3
+        probed: list[ServerTable] = []
+        contains = ServerTable.__contains__
+
+        def counting(table, group):
+            if table is not victim_table:
+                probed.append(table)
+            return contains(table, group)
+
+        monkeypatch.setattr(ServerTable, "__contains__", counting)
+        system.handle_server_failure(victim)
+        assert len(probed) <= orphans
+        system.verify_invariants()

@@ -1,16 +1,17 @@
 """The join handoff selects its movers by ring arc; the naive scan is the oracle.
 
 ``ClashSystem.handle_server_join`` picks the groups a joiner takes over by
-comparing memoised ring positions against the joiner's arc
-``(predecessor, joiner]`` and sorts only the movers.  The from-scratch rule it
-replaced — sort the whole registry, resolve every group's owner through the
-router — lives here, as the reference every case is compared against,
-handoff order included.
+slicing the joiner's arc ``(predecessor, joiner]`` out of the position-sorted
+arc index and sorts only the movers.  The from-scratch rule it replaced —
+sort the whole registry, resolve every group's owner through the router —
+lives here, as the reference every case is compared against, handoff order
+included.
 """
 
 from __future__ import annotations
 
 import copy
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -316,45 +317,92 @@ class _JoinWork:
 
 
 @pytest.mark.parametrize("shards", [1, 4])
-def test_second_join_hashes_no_group_it_has_seen(monkeypatch, shards):
+def test_a_join_hashes_nothing_and_resolves_no_owner(monkeypatch, shards):
+    """Every registered group already has its row in the arc index."""
     system = _system(12, shards=shards)
     _split_groups(system, 30)
     work = _JoinWork(monkeypatch)
-    system.handle_server_join("first", node_id=_free_id_near(system, 1000))
-    seen = {group.virtual_key.value for group in system.active_groups()}
-    assert set(work.hashed) == seen and len(work.hashed) == len(seen)
+    moved = 0
+    for name, point in (("first", 1000), ("second", 30000), ("third", 50000)):
+        work.reset()
+        handed = system.handle_server_join(name, node_id=_free_id_near(system, point))
+        assert work.hashed == []
+        assert work.owner_resolutions == 0
+        # Only the movers are ordered: far fewer comparisons than one pass of
+        # a full-registry sort would need.
+        assert work.comparisons <= len(handed) * len(handed).bit_length()
+        assert work.comparisons < len(system.active_groups())
+        moved += len(handed)
+        _split_groups(system, 5, seed=len(name))
+    assert moved, "joins that move nothing prove nothing"
+    system.verify_invariants()
 
-    work.reset()
-    handed = system.handle_server_join("second", node_id=_free_id_near(system, 30000))
-    assert work.hashed == []
-    assert work.owner_resolutions == 0
-    # Only the movers are ordered: far fewer comparisons than one pass of a
-    # full-registry sort would need.
-    assert work.comparisons <= len(handed) * len(handed).bit_length()
-    assert work.comparisons < len(system.active_groups())
 
-    # New right children are the only groups a later join has to hash: a left
-    # child shares its parent's virtual key, hence its memo entry.
-    _split_groups(system, 5, seed=9)
-    fresh = {group.virtual_key.value for group in system.active_groups()} - seen
-    work.reset()
-    system.handle_server_join("third", node_id=_free_id_near(system, 50000))
-    assert sorted(work.hashed) == sorted(fresh)
-    assert work.owner_resolutions == 0
+def _record_position_hashes(system: ClashSystem) -> list[int]:
+    """Every virtual key the registry hashes onto the ring from now on."""
+    hashed: list[int] = []
+    inner = system._position_hash
+
+    def hash_value(value, width):
+        hashed.append(value)
+        return inner.hash_value(value, width)
+
+    system._position_hash = SimpleNamespace(hash_value=hash_value)
+    return hashed
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_a_split_hashes_at_most_its_new_right_children(shards):
+    """A left child shares its parent's virtual key, hence its memo entry.
+
+    A split that collides with itself splits its right child again, so the
+    right children it creates are every group on the path from the chosen
+    group down to the outcome's right child.
+    """
+    system = _system(12, shards=shards)
+    _split_groups(system, 10)
+    hashed = _record_position_hashes(system)
+    rng = RandomStream(17)
+    splits = hashed_total = 0
+    for _ in range(20):
+        groups = sorted(system.active_groups().items())
+        group, owner = groups[rng.randint(0, len(groups) - 1)]
+        system.server(owner).set_group_rate(group, 3 * CONFIG.server_capacity)
+        chosen = system.server(owner).choose_group_to_split()
+        hashed.clear()
+        outcome = system.split_server(owner)
+        if outcome is None:
+            assert hashed == []
+            continue
+        new_rights = set()
+        step = outcome.right
+        while step.depth > chosen.depth:
+            new_rights.add(step.virtual_key.value)
+            step = step.parent()
+        assert set(hashed) <= new_rights
+        assert len(hashed) == len(set(hashed))
+        splits += 1
+        hashed_total += len(hashed)
+    # Not vacuous: splits hashed their right children and nothing else.
+    assert splits and hashed_total
+    system.verify_invariants()
 
 
 def test_memo_is_cleared_at_its_limit(monkeypatch):
-    system = _system(8)
-    _split_groups(system, 10)
     monkeypatch.setattr(protocol, "RING_POSITION_MEMO_LIMIT", 4)
-    join_and_check(system, "a", _free_id_near(system, 1000))
+    system = _system(8)
     assert 0 < len(system._ring_positions) <= 4
+    _split_groups(system, 10)
+    assert 0 < len(system._ring_positions) <= 4
+    # The arc index keeps every row through a clear: joins still select
+    # exactly what the oracle does.
+    join_and_check(system, "a", _free_id_near(system, 1000))
     join_and_check(system, "b", _free_id_near(system, 30000))
     assert 0 < len(system._ring_positions) <= 4
 
 
 # ---------------------------------------------------------------------- #
-# The invariant oracle sees the memo
+# The invariant oracle sees the memo and the arc index
 # ---------------------------------------------------------------------- #
 
 
@@ -368,4 +416,26 @@ def test_verify_invariants_catches_a_corrupt_memo_entry(shards):
     value = group.virtual_key.value
     system._ring_positions[value] = (system._ring_positions[value] + 1) % RING_SIZE
     with pytest.raises(AssertionError, match="memoised ring position"):
+        system.verify_invariants()
+
+
+def _drop_arc_row(system: ClashSystem) -> None:
+    del system._arc_index[3]
+
+
+def _shift_arc_row(system: ClashSystem) -> None:
+    """One row keeps its group but moves one point along the ring."""
+    position, group = system._arc_index[3]
+    system._arc_index[3] = ((position + 1) % RING_SIZE, group)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("corrupt", [_drop_arc_row, _shift_arc_row])
+def test_verify_invariants_catches_a_corrupt_arc_index(shards, corrupt):
+    system = _system(8, shards=shards)
+    _split_groups(system, 10)
+    system.handle_server_join("joiner", node_id=_free_id_near(system, 1000))
+    system.verify_invariants()
+    corrupt(system)
+    with pytest.raises(AssertionError, match="arc index is stale"):
         system.verify_invariants()

@@ -1,18 +1,17 @@
 """Measure line coverage of ``src/repro`` with the stdlib only.
 
-CI runs the real thing (``pytest --cov=repro --cov-fail-under=N``); this tool
-exists for environments where ``pytest-cov``/``coverage`` are not installed —
-it is how the committed coverage floor was derived, and what ``make coverage``
-falls back to.  The measurement is a plain ``sys.settrace`` line tracer over
-the test run:
+This is the repository's one coverage tool: ``make coverage`` (locally and
+in CI) runs it, and the committed coverage floor was derived from it.  It
+needs no third-party package.  The measurement is a plain ``sys.settrace``
+line tracer over the test run:
 
 * *executable lines* of a module are the union of ``co_lines()`` over every
   code object compiled from the file (closely matching coverage.py's notion),
   minus lines marked ``pragma: no cover``;
 * *covered lines* are the line events observed while running the suite.
 
-The two tools agree to within about a point, which is why the enforced floor
-keeps a one-point margin below the measured value.
+It agrees with coverage.py to within about a point; the enforced floor keeps
+a one-point margin below the measured value.
 
 Usage::
 
