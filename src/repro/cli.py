@@ -184,14 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated shard counts to sweep (default: 1,2)",
     )
     fuzz.add_argument(
-        "--fuzz-full-scan",
-        action="store_true",
-        help="sweep the balance-pass mode too: every structural variant runs "
-        "both with the incremental work-queue pass and with the reference "
-        "probe-everyone scan (doubles the grid; keeps both paths under the "
-        "oracle)",
-    )
-    fuzz.add_argument(
         "--fuzz-oracle",
         choices=sorted(ORACLES),
         default="invariants",
@@ -381,7 +373,6 @@ def _run_fuzz_command(args: argparse.Namespace) -> int:
         shards=shards,
         seeds=_parse_seed_axis(args.fuzz_seeds),
         churn_rates=churn_rates,
-        full_scans=(False, True) if args.fuzz_full_scan else (False,),
         budget=args.fuzz_budget,
         scale_factor=args.scale_factor,
         phase_periods=args.phase_periods,

@@ -256,8 +256,9 @@ class ClashSystem:
         # underload verdicts for everyone else.  Every server starts dirty.
         self._dirty_load_servers: set[str] = set()
         self._load_flags: dict[str, tuple[bool, bool]] = {}
-        # Work-queue state for the incremental balance pass.  Full scans
-        # visit ``list(self._servers.items())`` — creation (insertion) order —
+        # Work-queue state for the incremental balance pass.  The paper's
+        # full scan (``tests/reference/``'s naive load check) visits
+        # ``list(self._servers.items())`` — creation (insertion) order —
         # so every server gets a monotone order index at creation and the
         # split / consolidation passes drain their dirty sets in index order,
         # reproducing the full scan's visit order exactly (see
@@ -290,11 +291,6 @@ class ClashSystem:
         #: Load-report posts elided by the report-diff exchange (the reports
         #: already stood, bit-identical, on their parents).
         self.reports_skipped = 0
-        #: When True, every load check probes every server and walks the full
-        #: membership snapshot (disables the dirty-set shortcut, the work
-        #: queues and the report-diff exchange; the equivalence tests compare
-        #: both modes).
-        self.force_full_load_scan = False
         for name in self._servers:
             self._track_new_server(name)
         self._transport = transport if transport is not None else InlineTransport()
@@ -472,15 +468,6 @@ class ClashSystem:
             {f"ring_{k}": v for k, v in self._router.stabilise_stats().items()}
         )
         return stats
-
-    def set_force_full_stabilise(self, flag: bool) -> None:
-        """Force every ring onto the from-scratch stabilisation path.
-
-        The reference mode the incremental repair is benchmarked and
-        equivalence-tested against; it does not change any routing outcome,
-        only how the routing state is recomputed.
-        """
-        self._router.set_force_full_stabilise(flag)
 
     def can_remove_server(self, name: str) -> bool:
         """True if ``name`` may fail without leaving a shard serverless."""
@@ -882,17 +869,6 @@ class ClashSystem:
     # Consolidation
     # ------------------------------------------------------------------ #
 
-    @property
-    def report_diff_active(self) -> bool:
-        """Whether the exchange may elide re-posting unchanged report sets.
-
-        Requires a transport whose equivalence contract permits it (clock-less
-        delivery, no per-delivery RNG — see
-        :attr:`~repro.net.registry.TransportSpec.report_diff`) and the
-        reference full-scan mode to be off.
-        """
-        return not self.force_full_load_scan and self._transport.supports_report_diff
-
     def _forget_reports_of(self, failed: str) -> None:
         """Drop a failed server's report-diff state, in O(its pairs).
 
@@ -924,7 +900,8 @@ class ClashSystem:
 
         Returns the number of reports delivered (each is charged as one MERGE
         message).  On transports whose equivalence contract allows it (see
-        :attr:`report_diff_active`) a child whose load inputs have not changed
+        :attr:`~repro.net.registry.TransportSpec.report_diff`: clock-less
+        delivery, no per-delivery RNG) a child whose load inputs have not changed
         since its reports last went out is skipped entirely: the identical
         frozen reports already stand on its parents, so only the message
         accounting is replayed (``reports_skipped`` counts the elided posts).
@@ -936,7 +913,7 @@ class ClashSystem:
         reused = 0
         recipients: set[str] = set()
         drops_before = self._transport.dropped_messages
-        if self.report_diff_active:
+        if self._transport.supports_report_diff:
             # Retract first: a child whose reports changed may no longer
             # address some of the pairs it delivered earlier, and those must
             # vanish from the parents before anyone posts — another child may
@@ -989,13 +966,6 @@ class ClashSystem:
             # Full exchange: every child re-posts, so every standing report
             # is wiped first — as the diff exchange retracts them — or a
             # report for a group its child no longer measures would linger.
-            # Diff bookkeeping left from before a mode switch goes with them,
-            # and every child re-delivers once the diff exchange resumes.
-            if self._delivered_reports:
-                self._delivered_reports.clear()
-                self._report_children.clear()
-                self._standing_report_total = 0
-                self._dirty_reports.update(self._servers)
             for server in self._servers.values():
                 server.clear_child_reports()
             # Snapshot: an event-transport churn event may alter membership
@@ -1122,11 +1092,7 @@ class ClashSystem:
         (its own split, a transfer landing on it) re-dirties it through the
         load listener, so a verdict read later in the same pass is refreshed.
         """
-        if (
-            self.force_full_load_scan
-            or name in self._dirty_load_servers
-            or name not in self._load_flags
-        ):
+        if name in self._dirty_load_servers or name not in self._load_flags:
             verdicts = (server.is_overloaded(), server.is_underloaded())
             self._load_flags[name] = verdicts
             self._dirty_load_servers.discard(name)
@@ -1160,7 +1126,8 @@ class ClashSystem:
     def _drain_balance_queue(self, dirty: set[str], visit) -> None:
         """Visit the dirty servers in the full scan's exact order.
 
-        The reference full scan iterates ``self._servers`` — insertion order:
+        The paper's full scan (kept as the naive reference in
+        ``tests/reference/``) iterates ``self._servers`` — insertion order:
         seed servers in creation order, joiners appended, failed servers
         deleted.  This drain replays that order over only the dirty subset by
         walking a min-heap of per-server order indexes.  Servers dirtied
@@ -1211,53 +1178,32 @@ class ClashSystem:
         (see :meth:`_drain_balance_queue`), and a server whose load inputs
         are untouched is neither probed (:meth:`_load_verdicts`) nor offered
         for consolidation — its cached verdicts and standing reports are
-        still exact.  ``force_full_load_scan`` restores the reference
-        every-server scan for equivalence testing.
+        still exact.
         """
         report = _LoadCheckReport()
-        if self.force_full_load_scan:
-            # Reference path: both passes iterate a snapshot and re-check
-            # membership — a churn event delivered by the event transport
-            # mid-exchange may add or remove servers while the pass runs.
-            for name, server in list(self._servers.items()):
-                if name not in self._servers:
-                    continue
-                if not self._load_verdicts(name, server)[0]:
-                    continue
+
+        def split_visit(name: str, server: ClashServer) -> None:
+            if self._load_verdicts(name, server)[0]:
                 self._split_hot_server(name, server, max_splits_per_server, report)
-            self.exchange_load_reports()
-            for name, server in list(self._servers.items()):
-                if name not in self._servers or not server.is_active():
-                    continue
-                # Consolidation only runs on servers that are themselves
-                # under-loaded (the paper's "under conditions of
-                # under-load"); merging into a busy server would immediately
-                # re-trigger a split.
-                if self._load_verdicts(name, server)[1]:
-                    report.merges.extend(self.consolidate_server(name))
-        else:
 
-            def split_visit(name: str, server: ClashServer) -> None:
-                if self._load_verdicts(name, server)[0]:
-                    self._split_hot_server(name, server, max_splits_per_server, report)
+        def merge_visit(name: str, server: ClashServer) -> None:
+            if not server.is_active():
+                return
+            # Consolidation only runs on servers that are themselves
+            # under-loaded (the paper's "under conditions of under-load");
+            # merging into a busy server would immediately re-trigger a split.
+            if self._load_verdicts(name, server)[1]:
+                report.merges.extend(self.consolidate_server(name))
 
-            def merge_visit(name: str, server: ClashServer) -> None:
-                if not server.is_active():
-                    return
-                if self._load_verdicts(name, server)[1]:
-                    report.merges.extend(self.consolidate_server(name))
-
-            self._drain_balance_queue(self._dirty_split, split_visit)
-            self.exchange_load_reports()
-            # A parent whose standing child reports changed this exchange
-            # (post or retraction) may have gained or lost consolidation
-            # candidates even though its own load inputs never moved.
-            self._dirty_merge.update(
-                name
-                for name in self._last_report_recipients
-                if name in self._servers
-            )
-            self._drain_balance_queue(self._dirty_merge, merge_visit)
+        self._drain_balance_queue(self._dirty_split, split_visit)
+        self.exchange_load_reports()
+        # A parent whose standing child reports changed this exchange (post
+        # or retraction) may have gained or lost consolidation candidates
+        # even though its own load inputs never moved.
+        self._dirty_merge.update(
+            name for name in self._last_report_recipients if name in self._servers
+        )
+        self._drain_balance_queue(self._dirty_merge, merge_visit)
         report.touched_groups |= self.drain_touched_groups()
         report.retired_assignments.extend(self.drain_retired_assignments())
         return report
@@ -1291,18 +1237,22 @@ class ClashSystem:
         return new_owner
 
     def _hand_over(
-        self, group: KeyGroup, former: str, receiver: str, parent_name: str | None
+        self, group: KeyGroup, former: str, receiver: str, keep_linkage: bool
     ) -> bool:
         """Move one active group from ``former`` to ``receiver``.
 
         The handoff every membership-driven move uses: ``receiver`` asks the
         current owner to release the group (``RELEASE_KEYGROUP``), and the
         owner transfers responsibility — stored queries included — with the
-        ``ACCEPT_KEYGROUP`` envelope a split would have used.  The moved
-        entry reports to ``parent_name`` (``None``: it restarts as a root),
-        and a surviving parent's ``RightChildID`` is repointed at the
-        receiver.  Either server may fail with its half in flight:
+        ``ACCEPT_KEYGROUP`` envelope a split would have used.  With
+        ``keep_linkage`` a right child keeps reporting to its parent server
+        (:meth:`_kept_parent`) and a surviving parent's ``RightChildID`` is
+        repointed at the receiver; otherwise the group restarts as a root.
+        Either server may fail with its half in flight:
 
+        * ``former`` no longer owns the group — it died during an earlier
+          handoff of the same event, and its failure recovery re-homed every
+          group it still held — so nothing is sent;
         * the former owner dies before releasing — one MERGE message is
           charged and nothing else; its failure recovery has already
           re-homed every group it still held;
@@ -1314,6 +1264,9 @@ class ClashSystem:
 
         Returns whether the group left ``former``.
         """
+        if self._group_owner.get(group) != former:
+            return False
+        parent_name = self._kept_parent(group, former) if keep_linkage else None
         try:
             release = self._transport.request(
                 Envelope(
@@ -1361,6 +1314,21 @@ class ClashSystem:
         self._unregister_group(group)
         self._register_group(group, receiver)
         return True
+
+    def _kept_parent(self, group: KeyGroup, former: str) -> str | None:
+        """The parent server a group moving off ``former`` keeps reporting to.
+
+        Consolidation linkage only survives for *right* children: the merge
+        protocol requires the left child to be local to the parent-entry
+        holder, so a moved left child restarts as a root (as failure recovery
+        does) instead of addressing load reports no parent can ever act on.
+        For right children a "self" parent resolves to the former owner's
+        name; roots stay roots (ParentID = −1).
+        """
+        parent_id = self._servers[former].table.entry(group).parent_id
+        if parent_id is None or group.depth == 0 or not group.is_right_child():
+            return None
+        return former if parent_id == SELF_PARENT else parent_id
 
     def handle_server_join(
         self, joiner: str, node_id: int | None = None
@@ -1429,21 +1397,7 @@ class ClashSystem:
         moving.sort()
         handed_off: dict[KeyGroup, str] = {}
         for group, former in moving:
-            former_server = self._servers[former]
-            parent_id = former_server.table.entry(group).parent_id
-            # Consolidation linkage only survives for *right* children: the
-            # merge protocol requires the left child to be local to the
-            # parent-entry holder, so a moved left child restarts as a root
-            # on the joiner (as failure recovery does) instead of addressing
-            # load reports no parent can ever act on.  For right children a
-            # "self" parent resolves to the former owner's name; roots stay
-            # roots (ParentID = −1).
-            is_right_child = group.depth > 0 and group.is_right_child()
-            if parent_id is None or not is_right_child:
-                parent_name = None
-            else:
-                parent_name = former if parent_id == SELF_PARENT else parent_id
-            if self._hand_over(group, former, joiner, parent_name):
+            if self._hand_over(group, former, joiner, keep_linkage=True):
                 handed_off[group] = former
         return handed_off
 
@@ -1496,7 +1450,7 @@ class ClashSystem:
         migrated: dict[KeyGroup, str] = {}
         for group, former in moving:
             new_owner = self._router.owner_of_key(group.virtual_key)
-            if self._hand_over(group, former, new_owner, None):
+            if self._hand_over(group, former, new_owner, keep_linkage=False):
                 migrated[group] = former
         return migrated
 
@@ -1534,11 +1488,19 @@ class ClashSystem:
         # Remember, for each orphaned group, which surviving server (if any)
         # holds the inactive parent entry naming the failed node as its child.
         # Only the server the orphan's ParentID names can: one table probe
-        # per orphan, as a deployed server would make.
+        # per orphan, as a deployed server would make.  A holder on another
+        # shard cannot either: a failure during a partition rebalance can
+        # orphan groups whose keys the new map already moved away from their
+        # parents, and linkage never crosses shards.
         surviving_parent: dict[KeyGroup, str] = {}
+        router = self._router
         for group in orphaned:
             holder = failed_server.table.entry(group).parent_id
-            if holder in (SELF_PARENT, failed) or holder not in self._servers:
+            if (
+                holder in (SELF_PARENT, failed)
+                or holder not in self._servers
+                or router.server_shard(holder) != router.shard_of_key(group.virtual_key)
+            ):
                 continue
             parent_table = self._servers[holder].table
             parent = group.parent()
@@ -1681,7 +1643,7 @@ class ClashSystem:
                 assert child in self._dirty_reports or (
                     getattr(report, "child_server", None) == child
                 ), f"{child}'s report for {group} does not stand on {parent}"
-        if self.report_diff_active:
+        if self._transport.supports_report_diff:
             for parent, server in self._servers.items():
                 for group, report in server.child_reports().items():
                     assert (parent, group) in self._delivered_reports.get(

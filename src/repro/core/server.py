@@ -534,7 +534,10 @@ class ClashServer:
         load is below the underload threshold *and* absorbing the right child
         would not push this server over the overload threshold — without the
         second condition a split performed to relieve overload would be undone
-        at the next check, producing a split/merge oscillation.
+        at the next check, producing a split/merge oscillation.  The remote
+        right children of earlier candidates count towards that threshold too:
+        the consolidation pass absorbs every candidate, and two pairs that each
+        fit alone can overload the server together.
         """
         candidates: list[KeyGroup] = []
         local_loads = self._current_loads()
@@ -564,6 +567,7 @@ class ClashServer:
             added_load = 0.0 if right_is_local else right_load
             if self._load_model.is_overloaded(total_load + added_load):
                 continue
+            total_load += added_load
             candidates.append(parent_group)
         return sorted(candidates, key=lambda group: -group.depth)
 

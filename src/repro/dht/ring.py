@@ -113,10 +113,6 @@ class ChordRing:
         # The incremental repair needs an exact pre-event routing state to
         # start from; until the first full rebuild there is none.
         self._needs_full_rebuild = True
-        #: When True every stabilise() runs the from-scratch rebuild — the
-        #: reference path the equivalence suites and benchmarks compare the
-        #: incremental repair against.
-        self.force_full_stabilise = False
         # Lookup memo: routing is a pure function of the ring membership, so
         # a repeated lookup returns the identical (owner, hops, path) result
         # without re-walking the fingers — the hop charges replayed to the
@@ -352,7 +348,7 @@ class ChordRing:
         path.  Either path yields bit-identical state — this is purely a
         cost decision.
         """
-        if self.force_full_stabilise or self._needs_full_rebuild or not events:
+        if self._needs_full_rebuild or not events:
             return True
         floor = self._successor_list_length + 2
         count = len(self._sorted_ids)
@@ -365,7 +361,7 @@ class ChordRing:
         return False
 
     def _full_stabilise(self) -> None:
-        """Rebuild every node's routing state from scratch (the reference path)."""
+        """Rebuild every node's routing state from scratch (first build, bulk batches)."""
         self._invalidate_all_memo()
         self._sorted_ids = sorted(self._nodes_by_id)
         self._ring_nodes = dict(self._nodes_by_id)

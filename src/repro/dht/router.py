@@ -170,16 +170,6 @@ class RingRouter(abc.ABC):
                 totals[name] = totals.get(name, 0) + value
         return totals
 
-    def set_force_full_stabilise(self, flag: bool) -> None:
-        """Force (or stop forcing) the from-scratch rebuild on every ring.
-
-        Routers never create rings after construction — joins add nodes to
-        the existing shard rings — so setting the flag here reaches every
-        ring the deployment will ever stabilise.
-        """
-        for ring in self.rings():
-            ring.force_full_stabilise = flag
-
     # ------------------------------------------------------------------ #
     # Resolution
     # ------------------------------------------------------------------ #

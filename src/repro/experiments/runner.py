@@ -61,10 +61,6 @@ class ExperimentScale:
             of :data:`repro.dht.partition.PARTITION_KINDS`; ``"static"`` is
             the pre-refactor equal-prefix-range behaviour, ``"adaptive"``
             rebalances boundaries from observed load — sharded runs only).
-        force_full_load_scan: Force every balance pass onto the reference
-            every-server scan instead of the dirty-driven work queues (see
-            :attr:`repro.sim.simulator.SimulationParams.force_full_load_scan`;
-            metric streams are bit-identical either way).
         verify_invariants: Run the full protocol invariant pass after every
             membership event and at every period boundary (the CLI's
             ``--verify-invariants``; off by default — pure overhead on a
@@ -85,7 +81,6 @@ class ExperimentScale:
     fail_rate: float = 0.0
     shards: int = 1
     partition: str = "static"
-    force_full_load_scan: bool = False
     verify_invariants: bool = False
 
     def __post_init__(self) -> None:
@@ -199,7 +194,6 @@ class ExperimentScale:
             "link_latency": self.link_latency,
             "shards": self.shards,
             "partition": self.partition,
-            "force_full_load_scan": self.force_full_load_scan,
             "verify_invariants": self.verify_invariants,
         }
         values.update(overrides)

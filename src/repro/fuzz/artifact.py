@@ -26,11 +26,12 @@ from repro.net.replay import ChurnEvent, RebalanceEvent, ReplaySchedule
 
 __all__ = ["ARTIFACT_FORMAT", "ReproArtifact", "replay_artifact"]
 
-ARTIFACT_FORMAT = 2
+ARTIFACT_FORMAT = 3
 """Schema version stamped into every artifact.
 
 Format history: 1 — ties + churn; 2 — adds the pinned partition-rebalance
-schedule (and the case's ``partition`` axis)."""
+schedule (and the case's ``partition`` axis); 3 — the case loses its
+balance-pass-mode axis (``from_dict`` rejects the old field)."""
 
 
 @dataclass

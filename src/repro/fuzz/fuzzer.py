@@ -53,10 +53,6 @@ class FuzzPlan:
         seeds: Base seeds; each also derives the case's delivery/churn seeds
             so every axis varies per seed.
         churn_rates: (join_rate, fail_rate) variants to sweep.
-        full_scans: Balance-pass modes to sweep — ``False`` is the
-            dirty-driven work-queue pass, ``True`` the reference
-            probe-everyone scan; sweeping both keeps the two code paths
-            under the same oracle.
         budget: Maximum cases to run (the grid is truncated seed-major, so a
             small budget still covers every transport/shard/churn variant).
         scale_factor: Down-scaling factor for every case.
@@ -71,7 +67,6 @@ class FuzzPlan:
     partitions: tuple[str, ...] = ("static", "adaptive")
     seeds: tuple[int, ...] = tuple(range(8))
     churn_rates: tuple[tuple[float, float], ...] = DEFAULT_CHURN_RATES
-    full_scans: tuple[bool, ...] = (False,)
     budget: int = 16
     scale_factor: int = 100
     phase_periods: int = 2
@@ -97,35 +92,31 @@ def enumerate_cases(plan: FuzzPlan) -> list[FuzzCase]:
                         # A single ring has no shard boundaries to move.
                         continue
                     for join_rate, fail_rate in plan.churn_rates:
-                        for full_scan in plan.full_scans:
-                            if len(cases) >= plan.budget:
-                                return cases
-                            cases.append(
-                                FuzzCase(
-                                    transport=transport,
-                                    seed=20040324 + seed,
-                                    # Independent per-seed axes: the delivery
-                                    # order and churn timing sweeps never
-                                    # perturb the workload streams.
-                                    delivery_seed=(
-                                        710_000 + seed_index
-                                        if transport == "async"
-                                        else None
-                                    ),
-                                    churn_seed=(
-                                        830_000 + seed_index
-                                        if (join_rate or fail_rate)
-                                        else None
-                                    ),
-                                    join_rate=join_rate,
-                                    fail_rate=fail_rate,
-                                    shards=shards,
-                                    partition=partition,
-                                    full_load_scan=full_scan,
-                                    scale_factor=plan.scale_factor,
-                                    phase_periods=plan.phase_periods,
-                                )
+                        if len(cases) >= plan.budget:
+                            return cases
+                        cases.append(
+                            FuzzCase(
+                                transport=transport,
+                                seed=20040324 + seed,
+                                # Independent per-seed axes: the delivery
+                                # order and churn timing sweeps never perturb
+                                # the workload streams.
+                                delivery_seed=(
+                                    710_000 + seed_index if transport == "async" else None
+                                ),
+                                churn_seed=(
+                                    830_000 + seed_index
+                                    if (join_rate or fail_rate)
+                                    else None
+                                ),
+                                join_rate=join_rate,
+                                fail_rate=fail_rate,
+                                shards=shards,
+                                partition=partition,
+                                scale_factor=plan.scale_factor,
+                                phase_periods=plan.phase_periods,
                             )
+                        )
     return cases
 
 

@@ -47,9 +47,6 @@ class FuzzCase:
         shards: Chord ring shards (power of two).
         partition: Partition map for sharded cases (``"static"`` or
             ``"adaptive"``; the latter exercises online rebalancing).
-        full_load_scan: Run the balance passes in the reference
-            probe-everyone mode instead of the dirty-driven work queues
-            (sweeping both keeps the two paths under the same oracle).
         scale_factor: Down-scaling factor for :meth:`ExperimentScale.scaled`.
         phase_periods: Load-check periods per workload phase.
     """
@@ -62,7 +59,6 @@ class FuzzCase:
     fail_rate: float = 0.0
     shards: int = 1
     partition: str = "static"
-    full_load_scan: bool = False
     scale_factor: int = 100
     phase_periods: int = 2
 
@@ -79,8 +75,6 @@ class FuzzCase:
             parts.append(f"sh{self.shards}")
         if self.partition != "static":
             parts.append(self.partition)
-        if self.full_load_scan:
-            parts.append("fullscan")
         return "-".join(parts)
 
     def to_dict(self) -> dict:
@@ -112,7 +106,6 @@ class FuzzCase:
             fail_rate=self.fail_rate,
             shards=self.shards,
             partition=self.partition,
-            force_full_load_scan=self.full_load_scan,
         )
 
     def build_simulator(

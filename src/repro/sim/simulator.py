@@ -97,17 +97,6 @@ class SimulationParams:
         shards: Number of independent Chord rings the key space is
             partitioned across (power of two; ``1`` = the paper's single
             global ring, bit-identical to the pre-sharding behaviour).
-        force_full_stabilise: Force every ring onto the from-scratch
-            stabilisation path instead of the incremental repair.  Routing
-            outcomes are identical either way (the incremental repair is
-            bit-exact); this is the reference mode the equivalence suite and
-            the paper-scale benchmark compare against.
-        force_full_load_scan: Force every balance pass onto the reference
-            every-server scan (and full load-report exchange) instead of the
-            dirty-driven work queues and report-diff delivery.  Metric
-            streams are identical either way (the incremental pass is
-            bit-exact); this is the reference mode the equivalence suite
-            compares against.
         verify_invariants: Run :meth:`~repro.core.protocol.ClashSystem.\
 verify_invariants` after every membership event and at every period
             boundary.  Off by default (it is pure overhead on a healthy run);
@@ -142,16 +131,12 @@ verify_invariants` after every membership event and at every period
     latency_jitter: float = 0.0
     per_hop_latency: float = 0.0
     shards: int = 1
-    force_full_stabilise: bool = False
-    force_full_load_scan: bool = False
     verify_invariants: bool = False
     delivery_seed: int | None = None
     churn_seed: int | None = None
     partition: str = "static"
 
     def __post_init__(self) -> None:
-        check_type("force_full_stabilise", self.force_full_stabilise, bool)
-        check_type("force_full_load_scan", self.force_full_load_scan, bool)
         check_type("verify_invariants", self.verify_invariants, bool)
         for name in ("delivery_seed", "churn_seed"):
             value = getattr(self, name)
@@ -358,10 +343,6 @@ class FlowSimulator:
             transport=self._transport,
             shards=params.shards,
         )
-        if params.force_full_stabilise:
-            self._system.set_force_full_stabilise(True)
-        if params.force_full_load_scan:
-            self._system.force_full_load_scan = True
         self._system.bootstrap(config.initial_depth)
         self._churn_rng = seeds.stream("churn")
         # Poisson-arrival churn within phases.  Joins and failures draw from
@@ -461,13 +442,9 @@ class FlowSimulator:
         # Incremental load-assignment state: the measure the current
         # assignment was computed from, and the groups whose assignment has
         # been perturbed (by splits, merges, handoffs or churn) since then.
-        # ``_force_full_assignment`` disables the incremental path — it exists
-        # for the equivalence tests, which assert that dirty-group updates
-        # reproduce a from-scratch assignment exactly.
         self._assigned_measure: LoadMeasure | None = None
         self._pending_dirty: set = set()
         self._pending_retired: list = []
-        self._force_full_assignment = False
 
     @property
     def system(self) -> ClashSystem:
@@ -579,9 +556,9 @@ class FlowSimulator:
     def _sync_assignments(self, measure: LoadMeasure) -> None:
         """Bring every server's measured loads in line with ``measure``.
 
-        A full assignment runs only when the workload changed (a new measure)
-        or when the incremental path is disabled; otherwise only the groups
-        touched since the last synchronisation are refreshed.
+        A full assignment runs only when the workload changed (a new measure);
+        otherwise only the groups touched since the last synchronisation are
+        refreshed.
         """
         dirty = self._pending_dirty
         self._pending_dirty = set()
@@ -589,7 +566,7 @@ class FlowSimulator:
         retired = self._pending_retired
         self._pending_retired = []
         retired.extend(self._system.drain_retired_assignments())
-        if measure is not self._assigned_measure or self._force_full_assignment:
+        if measure is not self._assigned_measure:
             # reset_interval inside the full pass discards every measurement,
             # so the retired log is consumed by dropping it.
             self._assign_loads(measure)

@@ -12,6 +12,11 @@ body is replaced by ``raise``:
 * ``_hand_over``'s release to a dead former owner;
 * ``_hand_over``'s transfer to a dead receiver (restart as a root);
 * ``handle_server_failure``'s re-issue to a dead new owner.
+
+Three more tests kill a former owner that still has movers queued behind the
+failed one, in a join and in a partition rebalance: its failure recovery
+re-homes those movers, so the handoff skips them, and a recovery running
+under a freshly installed partition map re-links no orphan across shards.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from collections.abc import Callable
 from repro.core.config import ClashConfig
 from repro.core.messages import AcceptKeyGroup, MessageCategory, ReleaseKeyGroup
 from repro.core.protocol import ClashSystem
+from repro.dht.partition import PartitionMap
 from repro.keys.keygroup import KeyGroup
 from repro.net.envelope import Envelope
 from repro.net.inline import InlineTransport
@@ -65,10 +71,16 @@ class FailNthRequest:
         return self._inner.request(envelope)
 
 
-def _system(server_count: int = 12, seed: int = 55) -> tuple[ClashSystem, FailNthRequest]:
+def _system(
+    server_count: int = 12, seed: int = 55, shards: int = 1
+) -> tuple[ClashSystem, FailNthRequest]:
     transport = FailNthRequest(InlineTransport())
     system = ClashSystem.create(
-        CONFIG, server_count=server_count, rng=RandomStream(seed), transport=transport
+        CONFIG,
+        server_count=server_count,
+        rng=RandomStream(seed),
+        transport=transport,
+        shards=shards,
     )
     rng = RandomStream(3)
     for _ in range(30):
@@ -217,3 +229,79 @@ def test_reissue_to_a_dead_new_owner_restarts_the_group_as_a_root():
     # Two per re-homed group of both failures, plus the lost transfer.
     assert _splits(system) - splits == 2 * (orphans + heir_orphans[0]) + 1
     system.verify_invariants()
+
+
+def _first_release_kills_its_owner(system: ClashSystem, transport: FailNthRequest) -> None:
+    transport.arm(
+        1,
+        selects=lambda envelope: isinstance(envelope.payload, ReleaseKeyGroup),
+        kill=_kill(system),
+    )
+
+
+def test_a_join_skips_the_movers_its_dead_former_owner_re_homed():
+    system, transport = _system()
+    node_id = _joiner_id(
+        system, lambda movers: sum(owner == movers[0][1] for _g, owner in movers) >= 2
+    )
+    movers = _movers(system, "joiner", node_id)
+    former = movers[0][1]
+    _first_release_kills_its_owner(system, transport)
+    handed = system.handle_server_join("joiner", node_id=node_id)
+
+    assert [envelope.destination for envelope in transport.failed] == [former]
+    assert former not in system.servers()
+    # The failure re-homed every mover of the dead owner onto the joiner;
+    # the handoff moved the others itself.
+    assert list(handed) == [g for g, owner in movers if owner != former]
+    for group, _owner in movers:
+        assert system.owner_of_group(group) == "joiner"
+    system.verify_invariants()
+
+
+# small_scale: 12-bit keys, initial_depth=2 → four depth-2 blocks of 1024 keys.
+BLOCK = 1 << (CONFIG.key_bits - CONFIG.initial_depth)
+
+
+def _two_shard_map(cut_blocks: int) -> PartitionMap:
+    """A two-shard map cutting after ``cut_blocks`` depth-2 blocks."""
+    return PartitionMap(
+        boundaries=(0, cut_blocks * BLOCK, 1 << CONFIG.key_bits),
+        key_bits=CONFIG.key_bits,
+        granularity_depth=CONFIG.initial_depth,
+        version=1,
+    )
+
+
+def _rebalance_killing_the_first_former(cut_blocks: int) -> ClashSystem:
+    system, transport = _system(server_count=16, shards=2)
+    new_map = _two_shard_map(cut_blocks)
+    current = system.router.partition
+    moving = [
+        (group, owner)
+        for group, owner in sorted(system.active_groups().items())
+        if new_map.shard_of_key(group.virtual_key) != current.shard_of_key(group.virtual_key)
+    ]
+    former = moving[0][1]
+    assert sum(owner == former for _g, owner in moving) >= 2, "no mover left behind"
+    _first_release_kills_its_owner(system, transport)
+    migrated = system.rebalance_partition(new_map)
+
+    assert [envelope.destination for envelope in transport.failed] == [former]
+    assert former not in system.servers()
+    assert list(migrated) == [g for g, owner in moving if owner != former]
+    router = system.router
+    for group, _owner in moving:
+        owner = system.owner_of_group(group)
+        assert router.server_shard(owner) == router.shard_of_key(group.virtual_key)
+    return system
+
+
+def test_a_rebalance_skips_the_movers_its_dead_former_owner_re_homed():
+    _rebalance_killing_the_first_former(cut_blocks=3).verify_invariants()
+
+
+def test_a_failure_under_a_new_partition_map_links_no_orphan_across_shards():
+    """The dead owner's orphans now hash to the other shard: their recorded
+    parents stay behind on the old one, so they restart as roots."""
+    _rebalance_killing_the_first_former(cut_blocks=1).verify_invariants()

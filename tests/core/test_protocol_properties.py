@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.naive_clash import install_naive_balance
 
 from repro.core.config import ClashConfig
 from repro.core.protocol import ClashSystem
@@ -138,19 +139,22 @@ class TestBalanceConverges:
     @given(
         seed=st.integers(min_value=0, max_value=50),
         workloads=stationary_workloads(),
-        full_scan=st.booleans(),
+        naive=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_measured_rates_reach_a_quiet_check(self, seed, workloads, full_scan):
+    def test_measured_rates_reach_a_quiet_check(self, seed, workloads, naive):
         """Repeating *measure the true rates → load check* settles, and no
-        check along the way merges back a group it has just split."""
+        check along the way merges back a group it has just split — with the
+        production balance pass and with the naive every-server scan."""
         system = build_system(seed)
-        system.force_full_load_scan = full_scan
+        scan = install_naive_balance(system) if naive else None
+        checks = 0
         for cell_rates in workloads:
             for _iteration in range(CONVERGENCE_BOUND):
                 for group, owner in system.active_groups().items():
                     system.server(owner).set_group_rate(group, true_rate(group, cell_rates))
                 report = system.run_load_check()
+                checks += 1
                 undone = {split.group for split in report.splits} & {
                     merge.parent_group for merge in report.merges
                 }
@@ -162,3 +166,4 @@ class TestBalanceConverges:
                     f"no quiet load check within {CONVERGENCE_BOUND} iterations"
                 )
             system.verify_invariants()
+        assert scan is None or scan.checks == checks

@@ -209,6 +209,18 @@ class TestConsolidation:
         )
         assert parent.consolidation_candidates() == []
 
+    def test_candidates_together_never_overload_parent(self):
+        # Each remote right child fits alone (40 + 30 < 90); both would not.
+        parent = ClashServer(name="s0", config=CONFIG)
+        parent.assign_root_group(group("00*"))
+        parent.set_group_rate(group("00*"), 40.0)
+        for pattern, child_name in (("01*", "s8"), ("10*", "s9")):
+            parent.assign_root_group(group(pattern))
+            left, right, _migrated = parent.perform_split(group(pattern), right_child_server=child_name)
+            parent.set_group_rate(left, 0.0)
+            parent.receive_load_report(LoadReport(group=right, child_server=child_name, load=30.0))
+        assert len(parent.consolidation_candidates()) == 1
+
     def test_release_and_accept_back_round_trip(self):
         parent, child = self._split_setup()
         child.store_query(Query(query_id=77, key=key("01100001")))

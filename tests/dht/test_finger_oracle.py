@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.naive_clash import rebuild_on_every_event
 
 from repro.dht.hashspace import HashSpace
 from repro.dht.ring import ChordRing
@@ -48,12 +49,14 @@ _events = st.lists(
 )
 
 
-@given(bits=st.integers(3, 8), events=_events, force_full=st.booleans())
+@given(bits=st.integers(3, 8), events=_events, naive=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_every_finger_is_the_linear_successor_of_its_start(bits, events, force_full):
+def test_every_finger_is_the_linear_successor_of_its_start(bits, events, naive):
+    """Both the production ring and the rebuild-on-every-event twin."""
     space = HashSpace(bits=bits)
     ring = ChordRing(space=space)
-    ring.force_full_stabilise = force_full
+    if naive:
+        rebuild_on_every_event(ring)
     members: dict[str, int] = {}
     for serial, (add, point, settle) in enumerate(events):
         if add or len(members) <= 1:
@@ -72,6 +75,8 @@ def test_every_finger_is_the_linear_successor_of_its_start(bits, events, force_f
             assert_fingers_exact(ring, members)
     ring.stabilise()
     assert_fingers_exact(ring, members)
+    if naive:
+        assert ring.stabilise_stats()["incremental_events"] == 0
 
 
 def test_single_node_ring_points_every_finger_at_itself():

@@ -5,12 +5,14 @@ exactly the state a full rebuild would — fingers, successor lists,
 predecessors and lookup hop charges alike.  These tests hold it to that
 claim after every event of randomized membership sequences, through bulk
 batches, across the small-ring fallback threshold, and for the memo entries
-that survive selective invalidation.
+that survive selective invalidation.  The reference is a fresh ring with
+``tests/reference/``'s rebuild-on-every-event twin installed.
 """
 
 from __future__ import annotations
 
 import pytest
+from reference.naive_clash import rebuild_on_every_event
 
 from repro.dht.hashspace import HashSpace
 from repro.dht.ring import ChordRing
@@ -21,13 +23,16 @@ BITS = 16
 SPACE = HashSpace(bits=BITS)
 
 
-def build_ring(members: dict[str, int], force_full: bool = False) -> ChordRing:
+def build_ring(members: dict[str, int], naive: bool = False) -> ChordRing:
     """A stabilised ring with exactly the given name → id membership."""
     ring = ChordRing(space=HashSpace(bits=BITS))
-    ring.force_full_stabilise = force_full
+    if naive:
+        rebuild_on_every_event(ring)
     for name, node_id in members.items():
         ring.add_node(name, node_id=node_id)
     ring.stabilise()
+    if naive:
+        assert ring.stabilise_stats()["incremental_events"] == 0
     return ring
 
 
@@ -47,7 +52,7 @@ def ring_state(ring: ChordRing) -> dict[str, tuple]:
 
 def assert_matches_reference(ring: ChordRing, members: dict[str, int]) -> None:
     """The ring's routing state equals a freshly rebuilt ring's, lookups included."""
-    reference = build_ring(members, force_full=True)
+    reference = build_ring(members, naive=True)
     assert ring_state(ring) == ring_state(reference)
     rng = RandomStream(4242)
     names = sorted(members)
@@ -215,7 +220,7 @@ class TestSelectiveMemoInvalidation:
         assert 0 < stats["invalidations"] < warm  # selective, not wholesale
         assert stats["entries"] == warm - stats["invalidations"]
         hits_before = stats["hits"]
-        reference = build_ring(members, force_full=True)
+        reference = build_ring(members, naive=True)
         for key in keys:
             got = ring.find_successor(key)
             want = reference.find_successor(key)
@@ -225,7 +230,6 @@ class TestSelectiveMemoInvalidation:
     def test_default_start_entries_invalidated_when_first_node_changes(self):
         members = {"a": 100, "b": 2000, "c": 30000}
         ring = build_ring(members)
-        ring.force_full_stabilise = False
         # Grow the ring so the incremental path is eligible, then memoize a
         # default-start lookup and change the first node in ring order.
         for index in range(8):
@@ -301,5 +305,5 @@ class TestShardedRouterIncremental:
                     name: shard_ring.node(name).node_id
                     for name in shard_ring.node_names()
                 }
-                reference = build_ring(shard_members, force_full=True)
+                reference = build_ring(shard_members, naive=True)
                 assert ring_state(shard_ring) == ring_state(reference)

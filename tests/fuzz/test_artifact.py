@@ -91,6 +91,14 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="format"):
             ReproArtifact.from_json(json.dumps(payload))
 
+    def test_format_two_artifacts_rejected(self):
+        # Format 2 cases carry the retired balance-pass-mode axis, which no
+        # longer selects anything; replaying one would run a different case.
+        payload = json.loads(_artifact().to_json())
+        payload["format"] = 2
+        with pytest.raises(ValueError, match="format"):
+            ReproArtifact.from_json(json.dumps(payload))
+
     def test_tie_keys_restored_as_ints(self):
         restored = ReproArtifact.from_json(_artifact().to_json())
         assert all(isinstance(index, int) for index in restored.ties)

@@ -1,12 +1,13 @@
-"""The incremental balance pass must equal the reference full scan, bit for bit.
+"""The incremental balance pass must equal the naive full scan, bit for bit.
 
 ``ClashSystem.run_load_check`` drains dirty-server work queues (split pass,
 report exchange, consolidation pass) instead of scanning every server, and on
 clock-less transports the exchange skips re-posting report sets that already
-stand on their parents.  ``force_full_load_scan`` restores the reference
-probe-everyone scan with a full exchange.  These tests pin the contract:
+stand on their parents.  The reference is ``tests/reference/``'s naive twin:
+a probe-everyone scan around a full exchange, installed onto a real system.
+These tests pin the contract:
 
-* **End-to-end equivalence** — full simulations in both modes emit
+* **End-to-end equivalence** — full simulations both ways emit
   bit-identical ``PeriodSample`` streams across transports, churn, shard
   counts and partition modes.
 * **Randomized mutation battery** — twin systems fed identical random rate
@@ -31,6 +32,7 @@ import random
 from collections import Counter
 
 import pytest
+from reference.naive_clash import install_naive_balance
 
 from repro.core.config import ClashConfig
 from repro.core.messages import MessageCategory
@@ -46,17 +48,19 @@ from repro.sim.simulator import FlowSimulator
 from repro.util.rng import RandomStream
 
 
-def _run(scale: ExperimentScale, scenario, full_scan: bool):
+def _run(scale: ExperimentScale, scenario, naive: bool):
     simulator = FlowSimulator(
-        config=scale.config(),
-        params=scale.params(force_full_load_scan=full_scan),
-        scenario=scenario,
+        config=scale.config(), params=scale.params(), scenario=scenario
     )
+    scan = install_naive_balance(simulator.system) if naive else None
     try:
         result = simulator.run()
         simulator.system.verify_invariants()
     finally:
         simulator.transport.close()
+    if scan is not None:
+        assert scan.checks == result.notes["balance_iterations"] > 0
+        assert result.notes["reports_skipped"] == 0
     return result
 
 
@@ -85,8 +89,8 @@ class TestWorkQueueEqualsFullScan:
             partition=partition,
         )
         scenario = scale.scenario()
-        incremental = _run(scale, scenario, full_scan=False)
-        full = _run(scale, scenario, full_scan=True)
+        incremental = _run(scale, scenario, naive=False)
+        full = _run(scale, scenario, naive=True)
         differences = incremental.diff(full)
         assert not differences, "; ".join(differences)
         # The equivalence must not be vacuous: the incremental run has to
@@ -104,9 +108,10 @@ SHARDED_CONFIG = ClashConfig.small_scale().with_overrides(initial_depth=4)
 SHARDED_BLOCK = 1 << (SHARDED_CONFIG.key_bits - SHARDED_CONFIG.initial_depth)
 
 
-def _twin_system(full_scan: bool, shards: int = 1) -> ClashSystem:
+def _twin_system(naive: bool, shards: int = 1) -> ClashSystem:
     # build_transport stamps the registry's report_diff capability, so the
-    # incremental twin also exercises the report-diff exchange.
+    # incremental twin also exercises the report-diff exchange; the naive
+    # twin's install stamps it off again.
     system = ClashSystem.create(
         ClashConfig.small_scale() if shards == 1 else SHARDED_CONFIG,
         server_count=16,
@@ -114,7 +119,8 @@ def _twin_system(full_scan: bool, shards: int = 1) -> ClashSystem:
         transport=build_transport("inline"),
         shards=shards,
     )
-    system.force_full_load_scan = full_scan
+    if naive:
+        install_naive_balance(system)
     return system
 
 
@@ -143,8 +149,8 @@ def _run_battery(shards: int, rounds: int, seed: int) -> tuple[ClashSystem, Clas
     twins also see partition rebalances, and a join there may bring a failed
     server's name back.
     """
-    incremental = _twin_system(full_scan=False, shards=shards)
-    reference = _twin_system(full_scan=True, shards=shards)
+    incremental = _twin_system(naive=False, shards=shards)
+    reference = _twin_system(naive=True, shards=shards)
     twins = (incremental, reference)
     rng = random.Random(seed)
     capacity = incremental.config.server_capacity
@@ -182,7 +188,10 @@ def _run_battery(shards: int, rounds: int, seed: int) -> tuple[ClashSystem, Clas
             for system in twins:
                 system.rebalance_partition(new_map)
         a = incremental.run_load_check()
+        probes = reference.load_probes
         b = reference.run_load_check()
+        # The naive scan probes every server on every pass.
+        assert reference.load_probes - probes >= len(reference.server_names())
         assert a.splits == b.splits, f"round {round_index}: split streams diverged"
         assert a.merges == b.merges, f"round {round_index}: merge streams diverged"
         assert incremental.messages == reference.messages, (
@@ -197,6 +206,7 @@ def _run_battery(shards: int, rounds: int, seed: int) -> tuple[ClashSystem, Clas
     assert incremental.load_probes > 0
     assert incremental.load_probes < reference.load_probes
     assert incremental.reports_skipped > 0
+    assert reference.run_load_check.checks == rounds
     return incremental, reference
 
 
@@ -210,14 +220,14 @@ class TestRandomizedMutationBattery:
         assert incremental.partition_version > 0, "no rebalance was exercised"
 
 
-def _converged_system(full_scan: bool = False) -> ClashSystem:
+def _converged_system(naive: bool = False) -> ClashSystem:
     """A settled deployment whose split pairs keep child reports standing.
 
     Every root group is overloaded in turn; the right children of each
     check's splits are measured, so they report to their parents, and the
     load checks then run until one neither splits nor merges.
     """
-    system = _twin_system(full_scan=full_scan)
+    system = _twin_system(naive=naive)
     capacity = system.config.server_capacity
     for group, owner in sorted(system.active_groups().items()):
         system.server(owner).set_group_rate(group, 1.5 * capacity)
@@ -293,8 +303,8 @@ class TestMembershipKeepsTheDiff:
         must too, although no bookkeeping recorded the pair while the name
         was gone.
         """
-        incremental = _converged_system(full_scan=False)
-        reference = _converged_system(full_scan=True)
+        incremental = _converged_system(naive=False)
+        reference = _converged_system(naive=True)
         parents = {p for ps in _reporters(incremental).values() for p in ps}
         victim = min(parents)
         for system in (incremental, reference):
@@ -366,7 +376,7 @@ class TestReportBookkeepingOracle:
 
 class TestSteadyState:
     def test_converged_check_probes_and_delivers_nothing(self):
-        system = _twin_system(full_scan=False)
+        system = _twin_system(naive=False)
         groups = sorted(system.active_groups().items())
         group, owner = groups[0]
         # 1.5× capacity forces one split; the halves settle between the
@@ -407,8 +417,8 @@ class TestSteadyState:
     def test_a_parent_starting_a_new_interval_keeps_its_child_reports(self):
         """``reset_interval`` is the server's own measurement; the reports its
         clean children delivered still stand, as a full exchange re-posts them."""
-        incremental = _converged_system(full_scan=False)
-        reference = _converged_system(full_scan=True)
+        incremental = _converged_system(naive=False)
+        reference = _converged_system(naive=True)
         parent = min(p for ps in _reporters(incremental).values() for p in ps)
         for system in (incremental, reference):
             system.server(parent).reset_interval()

@@ -6,7 +6,10 @@ caches, and the dirty-group load assignment in
 :class:`~repro.sim.simulator.FlowSimulator` — must be *pure* optimisations:
 after every mutation the maintained structures must equal a from-scratch
 recomputation, and a simulation run using dirty-group assignment must emit
-exactly the sample stream a full per-iteration reassignment emits.
+exactly the sample stream a full per-iteration reassignment emits (the
+``NaiveAssignmentSimulator`` twin in ``tests/reference/``).  With every naive
+twin installed at once — every-server scan, full report exchange, ring rebuilt
+on every event, rates assigned from scratch — the run must not move either.
 
 The tests here are property-style: randomized split/merge/failure sequences
 (driven by seeded RNG so failures replay) with an exhaustive cross-check
@@ -15,12 +18,15 @@ after every single mutation.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from reference.naive_clash import NaiveAssignmentSimulator, naive_clash
 
 from repro.core.config import ClashConfig
 from repro.core.protocol import ClashSystem
+from repro.experiments.runner import ExperimentScale
 from repro.keys.identifier import RandomKeyGenerator
 from repro.sim.simulator import FlowSimulator, SimulationParams
 from repro.util.rng import RandomStream
@@ -200,18 +206,16 @@ def test_retired_assignments_name_every_deactivation_and_prune_stale_overrides()
 # --------------------------------------------------------------------- #
 
 
-def _run(scenario, params: SimulationParams, force_full: bool, **kwargs):
-    config = ClashConfig(
-        server_capacity=40.0, load_check_period=300.0, query_load_weight=0.1
-    )
-    simulator = FlowSimulator(config, params, scenario, **kwargs)
-    simulator._force_full_assignment = force_full
-    return simulator.run()
+CONFIG = ClashConfig(server_capacity=40.0, load_check_period=300.0, query_load_weight=0.1)
 
 
 def _assert_identical_runs(scenario, params: SimulationParams, **kwargs) -> None:
-    incremental = _run(scenario, params, force_full=False, **kwargs)
-    full = _run(scenario, params, force_full=True, **kwargs)
+    incremental = FlowSimulator(CONFIG, params, scenario, **kwargs).run()
+    twin = NaiveAssignmentSimulator(CONFIG, params, scenario, **kwargs)
+    full = twin.run()
+    # Production assigns from scratch once per workload phase; the twin on
+    # every synchronisation, at least once per period.
+    assert twin.full_assignments >= len(full.metrics.samples) > len(scenario.phases)
     assert incremental.total_splits == full.total_splits
     assert incremental.total_merges == full.total_merges
     assert incremental.final_active_groups == full.final_active_groups
@@ -280,3 +284,32 @@ def test_dirty_assignment_matches_for_fixed_depth_baseline():
         server_count=80, source_count=800, lookup_sample_size=8, seed=29
     )
     _assert_identical_runs(scenario, params, fixed_depth=6)
+
+
+@pytest.mark.parametrize(
+    "transport, shards, partition",
+    [("inline", 1, "static"), ("batching", 4, "adaptive")],
+)
+def test_the_naive_clash_emits_the_production_stream(transport, shards, partition):
+    """Every naive twin at once, under churn: the same ``PeriodSample`` stream."""
+    scale = dataclasses.replace(
+        ExperimentScale.scaled(factor=100, phase_periods=2),
+        transport=transport,
+        join_rate=0.01,
+        fail_rate=0.01,
+        shards=shards,
+        partition=partition,
+    )
+    production = FlowSimulator(scale.config(), scale.params(), scale.scenario()).run()
+    simulator, scan = naive_clash(scale.config(), scale.params(), scale.scenario())
+    naive = simulator.run()
+    simulator.system.verify_invariants()
+    differences = production.diff(naive)
+    assert not differences, "; ".join(differences)
+    # Each twin really ran in place of its production path.
+    assert scan.checks == naive.notes["balance_iterations"]
+    assert naive.notes["load_check_probes"] > production.notes["load_check_probes"]
+    assert naive.notes["reports_skipped"] == 0 < production.notes["reports_skipped"]
+    assert naive.notes["ring_incremental_events"] == 0
+    assert production.notes["ring_incremental_events"] > 0
+    assert simulator.full_assignments > len(naive.metrics.samples)

@@ -1,8 +1,9 @@
 """Golden churn runs: incremental stabilisation vs the full-rebuild path.
 
-``SimulationParams.force_full_stabilise`` selects how every ring recomputes
-its routing state after membership events — it must never change *what* that
-state is.  These runs drive a churn-heavy scenario both ways and require
+How a ring recomputes its routing state after membership events must never
+change *what* that state is.  These runs drive a churn-heavy scenario with
+the incremental repair and with ``tests/reference/``'s rebuild-on-every-event
+ring twin installed on every shard ring, and require
 :meth:`SimulationResult.diff` to come back empty (bit-identical
 ``PeriodSample`` streams, floats included) while the work counters carried
 in ``SimulationResult.notes`` show the incremental path doing a small
@@ -14,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from reference.naive_clash import install_naive_ring
 
 from repro.experiments.runner import ExperimentScale
 from repro.sim.simulator import FlowSimulator, SimulationResult
@@ -25,13 +27,15 @@ CHURN_SCALE = dataclasses.replace(
 )
 
 
-def _run(transport: str, shards: int, force_full: bool) -> SimulationResult:
+def _run(transport: str, shards: int, naive: bool) -> SimulationResult:
     scale = dataclasses.replace(CHURN_SCALE, transport=transport, shards=shards)
     simulator = FlowSimulator(
         config=scale.config(),
-        params=scale.params(shards=shards, force_full_stabilise=force_full),
+        params=scale.params(shards=shards),
         scenario=scale.scenario(),
     )
+    if naive:
+        install_naive_ring(simulator.system)
     result = simulator.run()
     simulator.system.verify_invariants()
     return result
@@ -44,8 +48,8 @@ class TestIncrementalChurnEquivalence:
         ids=["inline", "inline-sharded", "async"],
     )
     def test_bit_identical_samples_and_less_finger_work(self, transport: str, shards: int):
-        fast = _run(transport, shards, force_full=False)
-        slow = _run(transport, shards, force_full=True)
+        fast = _run(transport, shards, naive=False)
+        slow = _run(transport, shards, naive=True)
         assert fast.diff(slow) == []
         # The scenario really churned (otherwise the comparison is vacuous).
         joins = sum(s.server_joins for s in fast.metrics.samples)
@@ -60,7 +64,7 @@ class TestIncrementalChurnEquivalence:
         assert slow.notes["ring_incremental_events"] == 0
 
     def test_memo_survives_churn_on_the_incremental_path(self):
-        fast = _run("inline", 1, force_full=False)
+        fast = _run("inline", 1, naive=False)
         # Selective invalidation must leave some lookups answered from the
         # memo even though the membership changed during the run.
         assert fast.notes["memo_hits"] > 0

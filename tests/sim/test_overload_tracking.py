@@ -6,9 +6,10 @@ probe (``ClashServer.set_load_listener`` → ``_mark_server_load_dirty``);
 every other server's cached verdicts are reused.  These tests pin the two
 properties that make that safe:
 
-* **Equivalence** — a full simulation with ``force_full_load_scan`` (probe
-  everyone, the pre-tracking behaviour) emits a ``PeriodSample`` stream
-  bit-identical to the tracked run, churn included.
+* **Equivalence** — a full simulation with the naive every-server scan of
+  ``tests/reference/`` installed (probe everyone, the pre-tracking
+  behaviour) emits a ``PeriodSample`` stream bit-identical to the tracked
+  run, churn included.
 * **Steady-state sparsity** — with no load changes between two checks, the
   second check performs zero fresh probes.
 """
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from reference.naive_clash import install_naive_balance
+
 from repro.core.config import ClashConfig
 from repro.core.protocol import ClashSystem
 from repro.experiments.runner import ExperimentScale
@@ -24,48 +27,48 @@ from repro.sim.simulator import FlowSimulator
 from repro.util.rng import RandomStream
 
 
-def _run(scale: ExperimentScale, scenario, full_scan: bool):
+def _run(scale: ExperimentScale, scenario, naive: bool):
     simulator = FlowSimulator(
         config=scale.config(), params=scale.params(), scenario=scenario
     )
-    simulator.system.force_full_load_scan = full_scan
+    scan = install_naive_balance(simulator.system) if naive else None
     try:
         result = simulator.run()
         simulator.system.verify_invariants()
     finally:
         simulator.transport.close()
+    if scan is not None:
+        # Every load check of the run went through the naive scan.
+        assert scan.checks == result.notes["balance_iterations"] > 0
     return result
+
+
+def _assert_tracked_equals_naive(scale: ExperimentScale) -> None:
+    scenario = scale.scenario()
+    tracked = _run(scale, scenario, naive=False)
+    full = _run(scale, scenario, naive=True)
+    differences = tracked.diff(full)
+    assert not differences, "; ".join(differences)
+    assert tracked.notes["load_check_probes"] < full.notes["load_check_probes"]
 
 
 class TestTrackedEqualsFullScan:
     def test_reference_run_bit_identical(self):
-        scale = ExperimentScale.scaled(factor=50, phase_periods=2)
-        scenario = scale.scenario()
-        tracked = _run(scale, scenario, full_scan=False)
-        full = _run(scale, scenario, full_scan=True)
-        differences = tracked.diff(full)
-        assert not differences, "; ".join(differences)
+        _assert_tracked_equals_naive(ExperimentScale.scaled(factor=50, phase_periods=2))
 
     def test_churn_run_bit_identical(self):
-        scale = dataclasses.replace(
-            ExperimentScale.scaled(factor=50, phase_periods=2),
-            join_rate=0.005,
-            fail_rate=0.005,
+        _assert_tracked_equals_naive(
+            dataclasses.replace(
+                ExperimentScale.scaled(factor=50, phase_periods=2),
+                join_rate=0.005,
+                fail_rate=0.005,
+            )
         )
-        scenario = scale.scenario()
-        tracked = _run(scale, scenario, full_scan=False)
-        full = _run(scale, scenario, full_scan=True)
-        differences = tracked.diff(full)
-        assert not differences, "; ".join(differences)
 
     def test_sharded_run_bit_identical(self):
-        scale = ExperimentScale.scaled(factor=50, phase_periods=2)
-        scale = dataclasses.replace(scale, shards=4)
-        scenario = scale.scenario()
-        tracked = _run(scale, scenario, full_scan=False)
-        full = _run(scale, scenario, full_scan=True)
-        differences = tracked.diff(full)
-        assert not differences, "; ".join(differences)
+        _assert_tracked_equals_naive(
+            dataclasses.replace(ExperimentScale.scaled(factor=50, phase_periods=2), shards=4)
+        )
 
 
 class TestSteadyStateProbes:
@@ -93,14 +96,6 @@ class TestSteadyStateProbes:
         assert system.load_probes == baseline + 1, (
             "changing one server's measured rate must re-probe that server only"
         )
-
-    def test_full_scan_mode_probes_everyone(self):
-        system = self._quiet_system()
-        system.force_full_load_scan = True
-        system.run_load_check()
-        first = system.load_probes
-        system.run_load_check()
-        assert system.load_probes == 2 * first
 
     def test_membership_events_dirty_the_touched_servers(self):
         system = self._quiet_system()
