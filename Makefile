@@ -13,14 +13,13 @@ COVERAGE_FLOOR := 90
 check: lint test
 
 # ruff when installed (CI); otherwise tools/lint.py, a stdlib-only floor —
-# every file compiles, no unused import (F401) — over everything but perf/,
-# which stays ruff-only.
+# every file compiles, no unused import (F401) — over the same roots.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks perf tools; \
 	else \
 		echo "ruff not installed; running tools/lint.py (compile + F401) instead"; \
-		python3 tools/lint.py src tests benchmarks tools; \
+		python3 tools/lint.py src tests benchmarks perf tools; \
 	fi
 
 test:

@@ -227,7 +227,7 @@ class ClashClient:
             else:
                 # d_min == estimate: the guess itself is wrong, look deeper first.
                 low = max(low, estimate + 1)
-            if low > high or all(d in tried for d in range(low, high + 1)):
+            if low > high or tried.issuperset(range(low, high + 1)):
                 # The heuristic window is exhausted (its rules are not always
                 # sound); widen back to every depth not yet probed.
                 low, high = 0, self._key_bits

@@ -60,6 +60,11 @@ class MessageCategory(enum.Enum):
     DATA = "data"
     """Application data packets delivered to their managing server."""
 
+    # Members are singletons compared by identity, so identity hashing is
+    # exact — and C-level, where Enum's hash(name) runs Python code on every
+    # MessageStats.add.
+    __hash__ = object.__hash__
+
 
 class ReplyStatus(enum.Enum):
     """The three server responses to an ``ACCEPT_OBJECT`` (paper cases a–c)."""
@@ -74,6 +79,9 @@ class ReplyStatus(enum.Enum):
     INCORRECT_DEPTH = "incorrect_depth"
     """The server does not manage the object; the reply carries the longest
     prefix match between the key and the server's table entries."""
+
+    # As for MessageCategory: the (status, depth) reply memo hashes these.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, slots=True)

@@ -45,22 +45,24 @@ DEFAULT_SUCCESSOR_LIST_LENGTH = 4
 LOOKUP_MEMO_LIMIT = 1 << 16
 """Entries kept in the lookup memo before the oldest-inserted entry is
 evicted (FIFO; eviction is safe: a fresh walk returns the identical result a
-cached entry would)."""
+cached entry would).  The value → hash memo has the same bound and is cleared
+when full."""
 
 
 @dataclass(frozen=True)
 class LookupResult:
     """Outcome of a DHT lookup.
 
+    Every key in one owner's arc routes along the same path from a given
+    start, so one result is shared by all of them and names no key.
+
     Attributes:
-        key: The hash key that was looked up.
         owner: Name of the node that owns the key.
         hops: Number of overlay forwarding hops taken (0 if the starting node
             already owned the key).
         path: Names of the nodes traversed, starting node first, owner last.
     """
 
-    key: int
     owner: str
     hops: int
     path: tuple[str, ...] = field(default_factory=tuple)
@@ -113,15 +115,19 @@ class ChordRing:
         # The incremental repair needs an exact pre-event routing state to
         # start from; until the first full rebuild there is none.
         self._needs_full_rebuild = True
-        # Lookup memo: routing is a pure function of the ring membership, so
-        # a repeated lookup returns the identical (owner, hops, path) result
-        # without re-walking the fingers — the hop charges replayed to the
-        # caller are exactly those of a fresh walk.  A membership event
-        # invalidates only the entries whose recorded path touches repaired
-        # nodes (any other entry replays a walk through unchanged state);
-        # the memo is size-capped with FIFO eviction so streams of one-off
-        # distinct keys cannot grow it without bound.
+        # Lookup memo, keyed by (owner id, start): a walk compares the key
+        # only against member ids (predecessors, fingers, successors), so
+        # every key in one owner's arc (predecessor(o), o] takes the same
+        # path from a given start and a repeated lookup anywhere in the arc
+        # replays the identical (owner, hops, path) without re-walking the
+        # fingers.  A membership event invalidates only the entries whose
+        # recorded path touches repaired nodes — the owner ends every path,
+        # and a join inside its arc or its own departure repairs it — and the
+        # memo is size-capped with FIFO eviction.
         self._lookup_memo: dict[tuple, LookupResult] = {}
+        # f() of an identifier key, by (value, width): pure, so never
+        # invalidated; cleared when full.
+        self._hash_memo: dict[tuple[int, int], int] = {}
         # Inverted index for selective invalidation: node name → memo keys
         # whose recorded path visits that node.
         self._memo_paths: dict[str, set[tuple]] = {}
@@ -554,7 +560,27 @@ class ChordRing:
         self._space.check_member("key", key)
         if start is not None and start not in self._nodes_by_name:
             raise KeyError(f"start node {start!r} is not in the ring")
-        memo_key = (key, start)
+        return self._route(key, start)
+
+    def lookup_key(self, key: IdentifierKey, start: str | None = None) -> LookupResult:
+        """Hash an identifier key with ``f()`` and route the resulting hash key."""
+        self._ensure_fresh()
+        # As in find_successor: reject a bad start before the memo probe so a
+        # cache hit cannot silently succeed where a miss would raise.
+        if start is not None and start not in self._nodes_by_name:
+            raise KeyError(f"start node {start!r} is not in the ring")
+        hash_memo = self._hash_memo
+        value_key = (key.value, key.width)
+        hash_key = hash_memo.get(value_key)
+        if hash_key is None:
+            if len(hash_memo) >= self._memo_limit:
+                hash_memo.clear()
+            hash_key = hash_memo[value_key] = self._hash.hash_key(key)
+        return self._route(hash_key, start)
+
+    def _route(self, key: int, start: str | None) -> LookupResult:
+        """Route a validated ``key`` from ``start``, through the per-arc memo."""
+        memo_key = (self._successor_id(key), start)
         cached = self._lookup_memo.get(memo_key)
         if cached is not None:
             self._memo_hits += 1
@@ -579,29 +605,7 @@ class ChordRing:
                     f"lookup for key {key} did not converge after {hops} hops; "
                     "the ring routing state is inconsistent"
                 )
-        result = LookupResult(key=key, owner=current.name, hops=hops, path=tuple(path))
-        self._memoize(memo_key, result)
-        return result
-
-    def lookup_key(self, key: IdentifierKey, start: str | None = None) -> LookupResult:
-        """Hash an identifier key with ``f()`` and route the resulting hash key.
-
-        Memoized per identifier key: the hash and the routing walk both
-        depend only on the key and the ring membership.
-        """
-        self._ensure_fresh()
-        # As in find_successor: reject a bad start before the memo probe so a
-        # cache hit cannot silently succeed where a miss would raise.
-        if start is not None and start not in self._nodes_by_name:
-            raise KeyError(f"start node {start!r} is not in the ring")
-        memo_key = (key.value, key.width, start)
-        cached = self._lookup_memo.get(memo_key)
-        if cached is not None:
-            self._memo_hits += 1
-            return cached
-        self._memo_misses += 1
-        hash_key = self._hash.hash_key(key)
-        result = self.find_successor(hash_key, start=start)
+        result = LookupResult(owner=current.name, hops=hops, path=tuple(path))
         self._memoize(memo_key, result)
         return result
 

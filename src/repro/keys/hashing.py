@@ -19,6 +19,8 @@ from repro.util.validation import check_positive, check_type
 
 __all__ = ["Sha1HashFunction", "HashFamily", "truncate_hash"]
 
+_SHA1_BITS = 160
+
 
 def truncate_hash(digest: bytes, bits: int) -> int:
     """Interpret the first bytes of a digest as an unsigned ``bits``-bit integer."""
@@ -47,8 +49,13 @@ class Sha1HashFunction:
         check_type("hash_bits", hash_bits, int)
         check_positive("hash_bits", hash_bits)
         check_type("salt", salt, int)
+        if hash_bits > _SHA1_BITS:
+            raise ValueError(f"hash_bits must be at most {_SHA1_BITS}, got {hash_bits}")
         self._hash_bits = hash_bits
         self._salt = salt
+        # truncate_hash's byte count and shift, fixed once per function.
+        self._digest_bytes = (hash_bits + 7) // 8
+        self._digest_shift = self._digest_bytes * 8 - hash_bits
 
     @property
     def hash_bits(self) -> int:
@@ -68,7 +75,7 @@ class Sha1HashFunction:
         """Hash a raw ``width``-bit integer into the M-bit hash space."""
         payload = f"{self._salt}:{width}:{value}".encode("utf-8")
         digest = hashlib.sha1(payload).digest()
-        return truncate_hash(digest, self._hash_bits)
+        return int.from_bytes(digest[: self._digest_bytes], "big") >> self._digest_shift
 
     def hash_string(self, text: str) -> int:
         """Hash an arbitrary string (used for server node identifiers)."""

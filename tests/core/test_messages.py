@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.messages import (
@@ -102,3 +104,15 @@ class TestMessageStats:
         snapshot = stats.snapshot()
         assert snapshot["dht_routing"] == 4.0
         assert set(snapshot) == {category.value for category in MessageCategory}
+
+
+class TestEnumHashing:
+    @pytest.mark.parametrize("enum_type", [MessageCategory, ReplyStatus])
+    def test_members_key_dicts_across_a_pickle_round_trip(self, enum_type):
+        """Identity hashing stays exact where members cross a process boundary."""
+        table = {member: index for index, member in enumerate(enum_type)}
+        for index, member in enumerate(enum_type):
+            copied = pickle.loads(pickle.dumps(member))
+            assert copied is member
+            assert table[copied] == index
+        assert len({*enum_type, *enum_type}) == len(enum_type)

@@ -209,7 +209,9 @@ class TestSelectiveMemoInvalidation:
         for key in keys:
             ring.find_successor(key)
         warm = ring.memo_stats()["entries"]
-        assert warm == len(set(keys))
+        # One entry per owner arc the keys fall in, each walked once.
+        assert warm == len({ring.owner_of(key) for key in keys}) < len(set(keys))
+        assert ring.memo_stats()["misses"] == warm
         # One membership event: only entries whose path crosses repaired
         # nodes may be dropped.
         victim = sorted(members)[10]
@@ -244,6 +246,61 @@ class TestSelectiveMemoInvalidation:
         fresh = ring.find_successor(500)
         assert fresh.path[0] == "front"
         assert_matches_reference(ring, members)
+
+
+def fresh_walk(ring: ChordRing, key: int, start: str | None):
+    """``find_successor`` walked with the lookup memo cleared (then restored)."""
+    memo, paths = ring._lookup_memo, ring._memo_paths
+    ring._lookup_memo, ring._memo_paths = {}, {}
+    try:
+        return ring.find_successor(key, start=start)
+    finally:
+        ring._lookup_memo, ring._memo_paths = memo, paths
+
+
+class TestArcMemoProperty:
+    """The per-arc memo under random churn: every hit replays a fresh walk."""
+
+    @pytest.mark.parametrize("seed", [3, 14, 15, 92, 65])
+    def test_memoised_routes_equal_fresh_walks_under_churn(self, seed: int):
+        rng = RandomStream(seed)
+        members = random_members(rng, 16 + rng.randint(0, 32))
+        ring = build_ring(members)
+        # A small key pool, so later lookups land in arcs the memo knows.
+        pool = [rng.randbits(BITS) for _ in range(64)]
+        starts: set[str | None] = set()
+        next_index = len(members)
+        for _ in range(40):
+            # One or two joins / leaves per stabilise (incremental path).
+            for _ in range(1 + rng.randint(0, 1)):
+                if rng.uniform() < 0.5 and len(members) > 12:
+                    name = sorted(members)[rng.randint(0, len(members) - 1)]
+                    ring.remove_node(name)
+                    del members[name]
+                else:
+                    node_id = rng.randbits(BITS)
+                    while node_id in members.values():
+                        node_id = rng.randbits(BITS)
+                    name = f"n{next_index}"
+                    next_index += 1
+                    ring.add_node(name, node_id=node_id)
+                    members[name] = node_id
+            ring.stabilise()
+            names = sorted(members)
+            for _ in range(30):
+                key = pool[rng.randint(0, len(pool) - 1)]
+                if rng.uniform() < 0.5:
+                    key = rng.randbits(BITS)
+                start = None if rng.uniform() < 0.2 else names[rng.randint(0, len(names) - 1)]
+                starts.add(start)
+                got = ring.find_successor(key, start=start)
+                want = fresh_walk(ring, key, start)
+                assert (got.owner, got.hops, got.path) == (want.owner, want.hops, want.path)
+                assert got.owner == ring.owner_of(key)
+            assert ring.memo_stats()["entries"] <= len(ring) * len(starts)
+        stats = ring.memo_stats()
+        assert stats["hits"] > 0 and stats["invalidations"] > 0
+        assert ring.stabilise_stats()["incremental_events"] > 0
 
 
 class TestShardedRouterIncremental:

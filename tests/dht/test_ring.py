@@ -212,17 +212,18 @@ class TestLookupMemo:
     def test_overflow_evicts_oldest_not_everything(self, ring: ChordRing):
         ring._memo_limit = 8
         rng = RandomStream(12)
-        keys = []
-        while len(keys) < 8:
+        # The memo holds one entry per owner arc: pick keys in nine distinct arcs.
+        keys: list[int] = []
+        owners: set[str] = set()
+        while len(keys) < 9:
             key = rng.randbits(16)
-            if key not in keys:
+            if ring.owner_of(key) not in owners:
+                owners.add(ring.owner_of(key))
                 keys.append(key)
+        keys, overflow_key = keys[:8], keys[8]
         expected = {key: ring.find_successor(key) for key in keys}
         assert ring.memo_stats()["entries"] == 8
-        # One more distinct key displaces exactly the oldest-inserted entry.
-        overflow_key = next(
-            key for key in iter(lambda: rng.randbits(16), None) if key not in keys
-        )
+        # One more distinct arc displaces exactly the oldest-inserted entry.
         ring.find_successor(overflow_key)
         stats = ring.memo_stats()
         assert stats["entries"] == 8
@@ -261,13 +262,24 @@ class TestLookupMemo:
         assert stats["hits"] == 1
         assert stats["misses"] == 2
         assert stats["entries"] == 2
-        ident = IdentifierKey(value=42, width=16)
+        # Another key in 1234's arc — here the owner's own id — replays the
+        # same entry.
+        _, owner_id = ring.owned_arc(ring.owner_of(1234))
+        assert owner_id != 1234
+        assert ring.find_successor(owner_id) is ring.find_successor(1234)
+        stats = ring.memo_stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (3, 2, 2)
+        # lookup_key hashes through a memo outside these counters and then
+        # asks the same arc memo: a miss is counted once, a repeat is a hit.
+        ident = next(
+            IdentifierKey(value=value, width=16)
+            for value in range(100)
+            if ring.owner_of(ring.hash_function.hash_value(value, 16)) != ring.owner_of(1234)
+        )
         ring.lookup_key(ident)
         ring.lookup_key(ident)
         stats = ring.memo_stats()
-        # lookup_key memoizes the identifier key and its hash key separately.
-        assert stats["hits"] == 2
-        assert stats["misses"] == 4
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (4, 3, 3)
         ring.remove_node("s9")
         ring.stabilise()
         assert ring.memo_stats()["invalidations"] >= 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.keys.hashing import HashFamily, Sha1HashFunction, truncate_hash
@@ -61,6 +63,15 @@ class TestSha1HashFunction:
     def test_invalid_hash_bits(self):
         with pytest.raises(ValueError):
             Sha1HashFunction(hash_bits=0)
+        with pytest.raises(ValueError):
+            Sha1HashFunction(hash_bits=161)  # wider than a SHA-1 digest
+
+    @pytest.mark.parametrize("bits", [1, 7, 8, 13, 24, 160])
+    def test_hash_value_is_the_truncated_digest(self, bits):
+        function = Sha1HashFunction(hash_bits=bits, salt=2)
+        for value in range(0, 5000, 211):
+            digest = hashlib.sha1(f"2:24:{value}".encode("utf-8")).digest()
+            assert function.hash_value(value, 24) == truncate_hash(digest, bits)
 
     def test_properties(self):
         function = Sha1HashFunction(hash_bits=24, salt=3)

@@ -19,7 +19,7 @@ any.
 
 Usage::
 
-    python3 tools/lint.py src tests benchmarks tools
+    python3 tools/lint.py src tests benchmarks perf tools
 """
 
 from __future__ import annotations
