@@ -40,9 +40,11 @@ smoke:
 bench-smoke:
 	$(PYTEST) -q -m bench_smoke
 
-# The full benchmark suite (regenerates the paper's figures; minutes).
+# The full benchmark suite (regenerates the paper's figures; minutes).  The
+# files are named explicitly: pytest's default `test_*.py` pattern does not
+# match `bench_*.py`, so `pytest benchmarks` alone collects nothing.
 bench:
-	$(PYTEST) -q benchmarks
+	$(PYTEST) -q benchmarks/bench_*.py
 
 # Wall-clock comparison of the async transport against inline/batching on
 # the scaled reference workload (asserts bit-identical metrics as it goes).

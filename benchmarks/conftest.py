@@ -1,10 +1,11 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures (or one of
-the ablations listed in DESIGN.md).  The heavyweight simulations are run once
-per benchmark (``benchmark.pedantic`` with a single round) — the interesting
-output is the regenerated figure data, which each benchmark prints, not a
-statistically tight timing distribution.
+Every benchmark regenerates one of the paper's tables or figures, or measures
+one mechanism behind them (the split-policy ablation, a Chord lookup, a
+transport); docs/PERFORMANCE.md describes the gated ones.  The heavyweight
+simulations are run once per benchmark (``benchmark.pedantic`` with a single
+round) — the interesting output is the regenerated figure data, which each
+benchmark prints, not a statistically tight timing distribution.
 
 Scale: benchmarks default to a scaled-down configuration (see
 ``repro.experiments.runner.ExperimentScale.scaled``) so the whole suite runs

@@ -1,6 +1,6 @@
 """repro — a reproduction of CLASH (Content and Load-Aware Scalable Hashing).
 
-See README.md for a quickstart and DESIGN.md for the system inventory.
+See docs/ARCHITECTURE.md for the layers and examples/quickstart.py for a first run.
 """
 
 __version__ = "1.0.0"

@@ -1,27 +1,11 @@
-"""Baseline load-distribution schemes CLASH is compared against.
+"""The comparator CLASH is evaluated against.
 
-* :class:`~repro.baselines.fixed_depth.FixedDepthDhtSimulator` — the paper's
-  own comparator: basic Chord with a *fixed* identifier-key length
-  (``DHT(2)``, ``DHT(6)``, ``DHT(12)``, ``DHT(24)``), evaluated over the same
-  phased workload and reporting the same metrics as the CLASH simulator.
-* :class:`~repro.baselines.virtual_server_lb.VirtualServerBalancer` — the
-  virtual-server *migration* scheme of Rao et al. [13]: virtual servers move
-  from overloaded physical nodes to under-loaded ones.
-* :class:`~repro.baselines.power_of_d.PowerOfDChoicesPlacer` — the
-  d-choices scheme of Byers et al. [5]: each object key is hashed with ``d``
-  independent functions and stored at the least-loaded candidate server.
-
-Neither related-work baseline clusters content the way CLASH does — that is
-the paper's qualitative argument — and the ablation benchmark (A2 in
-DESIGN.md) quantifies the difference on the same workloads.
+:class:`~repro.baselines.fixed_depth.FixedDepthDhtSimulator` is the paper's
+own comparator: basic Chord with a *fixed* identifier-key length (``DHT(2)``,
+``DHT(6)``, ``DHT(12)``, ``DHT(24)``), evaluated over the same phased workload
+and reporting the same metrics as the CLASH simulator.
 """
 
 from repro.baselines.fixed_depth import FixedDepthDhtSimulator
-from repro.baselines.power_of_d import PowerOfDChoicesPlacer
-from repro.baselines.virtual_server_lb import VirtualServerBalancer
 
-__all__ = [
-    "FixedDepthDhtSimulator",
-    "VirtualServerBalancer",
-    "PowerOfDChoicesPlacer",
-]
+__all__ = ["FixedDepthDhtSimulator"]

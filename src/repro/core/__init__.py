@@ -38,13 +38,6 @@ from repro.core.policy import (
     SplitPolicy,
 )
 from repro.core.protocol import ClashSystem, SplitOutcome
-from repro.core.range_query import (
-    KeyRange,
-    RangeQueryPlan,
-    RangeQueryPlanner,
-    canonical_cover,
-    fixed_depth_replica_count,
-)
 from repro.core.server import ClashServer, GroupLoad
 from repro.core.server_table import ServerTable, ServerTableEntry
 from repro.core.tree_view import build_split_tree, render_server_table, render_split_tree
@@ -72,11 +65,6 @@ __all__ = [
     "RandomGroupSplitPolicy",
     "RoundRobinSplitPolicy",
     "CoolestGroupMergePolicy",
-    "KeyRange",
-    "RangeQueryPlan",
-    "RangeQueryPlanner",
-    "canonical_cover",
-    "fixed_depth_replica_count",
     "build_split_tree",
     "render_split_tree",
     "render_server_table",

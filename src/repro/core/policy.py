@@ -4,8 +4,9 @@ The paper deliberately leaves the choice of *which* key group an overloaded
 server sheds (and which cold group a server tries to consolidate) outside the
 core protocol specification; its implementation uses the hottest group for
 splitting and the coldest active group for consolidation (Section 6).  The
-policies are pluggable here so that the ablation benchmark (A1 in DESIGN.md)
-can quantify how much that choice matters.
+policies are pluggable here so that the split-policy ablation
+(``benchmarks/bench_ablation_policies.py``) can quantify how much that choice
+matters.
 """
 
 from __future__ import annotations

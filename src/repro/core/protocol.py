@@ -668,15 +668,15 @@ class ClashSystem:
         self._bootstrapped = True
 
     # ------------------------------------------------------------------ #
-    # Group resolution (ground truth, for range queries and tests)
+    # Group resolution (ground truth, for examples, checks and tests)
     # ------------------------------------------------------------------ #
 
     def find_active_group(self, key: IdentifierKey) -> tuple[KeyGroup, str]:
         """The active group containing ``key`` and its owner (registry view).
 
-        A ground-truth read of the group registry, used by range queries to
-        find their first group and by tests as an oracle.  The simulator's
-        lookups do not use it: they go through
+        A ground-truth read of the group registry, used by the examples and
+        as an oracle by the benchmark's lookup check and the tests.  The
+        simulator's lookups do not use it: they go through
         :meth:`route_accept_object` / :class:`~repro.core.client.ClashClient`.
         """
         for depth in range(self._config.key_bits + 1):

@@ -14,10 +14,6 @@ equivalent substrate in Python.  It provides:
   ring(s): :class:`~repro.dht.router.SingleRingRouter` wraps one global ring
   (the paper's deployment), :class:`~repro.dht.router.ShardedRingRouter`
   prefix-partitions the key space across independent rings.
-* :class:`~repro.dht.virtualservers.VirtualServerAllocator` — the
-  "log S virtual servers per physical node" technique from Chord/CFS.
-* :class:`~repro.dht.replication.ReplicationManager` — successor-list object
-  replication (the fault-tolerance mechanism basic DHTs rely on).
 
 CLASH layers on top of this package without modifying it — exactly the
 paper's claim that CLASH "operates in the identifier key space, leaving the
@@ -26,7 +22,6 @@ base DHT protocol unchanged".
 
 from repro.dht.hashspace import HashSpace
 from repro.dht.node import ChordNode
-from repro.dht.replication import ReplicationManager
 from repro.dht.ring import ChordRing, LookupResult
 from repro.dht.router import (
     RingRouter,
@@ -34,7 +29,6 @@ from repro.dht.router import (
     SingleRingRouter,
     build_router,
 )
-from repro.dht.virtualservers import PhysicalServer, VirtualServerAllocator
 
 __all__ = [
     "HashSpace",
@@ -45,7 +39,4 @@ __all__ = [
     "SingleRingRouter",
     "ShardedRingRouter",
     "build_router",
-    "VirtualServerAllocator",
-    "PhysicalServer",
-    "ReplicationManager",
 ]

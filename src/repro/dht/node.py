@@ -20,8 +20,8 @@ class ChordNode:
         fingers: Finger table — entry ``i`` holds the node id of the successor
             of ``node_id + 2**i``; length equals the hash-space width once the
             ring has built it.
-        successor_list: The ids of the next ``r`` nodes clockwise; used for
-            robustness and for replication.
+        successor_list: The ids of the next ``r`` nodes clockwise; routing
+            reads only entry 0, the immediate successor.
         predecessor: The id of the previous node on the ring, or ``None``
             before stabilisation.
     """

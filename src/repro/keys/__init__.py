@@ -12,11 +12,10 @@ identifier key whose bit prefix encodes hierarchical clustering relationships
   generator: a geographic area recursively split into four sub-regions, each
   contributing two bits to the key.
 * :mod:`~repro.keys.hashing` — identifier-key → hash-key functions (the
-  ``f()`` in the paper) including an independent hash family used by the
-  power-of-d-choices baseline.
+  ``f()`` in the paper).
 """
 
-from repro.keys.hashing import HashFamily, Sha1HashFunction, truncate_hash
+from repro.keys.hashing import Sha1HashFunction, truncate_hash
 from repro.keys.identifier import IdentifierKey, RandomKeyGenerator
 from repro.keys.keygroup import KeyGroup
 from repro.keys.quadtree import GridCell, QuadTreeEncoder
@@ -28,6 +27,5 @@ __all__ = [
     "QuadTreeEncoder",
     "GridCell",
     "Sha1HashFunction",
-    "HashFamily",
     "truncate_hash",
 ]

@@ -4,10 +4,6 @@ A DHT stores an object at the server owning ``Map(f(k'))`` where ``k'`` is the
 (virtual) identifier key and ``f`` maps the N-bit identifier space into the
 M-bit hash space.  CLASH requires nothing of ``f`` beyond determinism and good
 mixing; we use SHA-1 (the hash Chord itself uses) truncated to M bits.
-
-The module also provides :class:`HashFamily`, a family of independent hash
-functions obtained by salting, which the power-of-d-choices baseline
-(Byers et al. [5]) needs.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ import hashlib
 from repro.keys.identifier import IdentifierKey
 from repro.util.validation import check_positive, check_type
 
-__all__ = ["Sha1HashFunction", "HashFamily", "truncate_hash"]
+__all__ = ["Sha1HashFunction", "truncate_hash"]
 
 _SHA1_BITS = 160
 
@@ -82,32 +78,3 @@ class Sha1HashFunction:
         payload = f"{self._salt}:str:{text}".encode("utf-8")
         digest = hashlib.sha1(payload).digest()
         return truncate_hash(digest, self._hash_bits)
-
-
-class HashFamily:
-    """A family of ``d`` independent hash functions over the same hash space.
-
-    Used by the power-of-d-choices baseline, where each object key is hashed
-    with ``d >= 2`` functions and stored at the least-loaded of the candidate
-    servers.
-    """
-
-    def __init__(self, hash_bits: int, count: int) -> None:
-        check_type("count", count, int)
-        check_positive("count", count)
-        self._functions = [
-            Sha1HashFunction(hash_bits=hash_bits, salt=index) for index in range(count)
-        ]
-
-    def __len__(self) -> int:
-        return len(self._functions)
-
-    def __getitem__(self, index: int) -> Sha1HashFunction:
-        return self._functions[index]
-
-    def __iter__(self):
-        return iter(self._functions)
-
-    def hash_key_all(self, key: IdentifierKey) -> list[int]:
-        """Hash a key with every function in the family."""
-        return [function.hash_key(key) for function in self._functions]

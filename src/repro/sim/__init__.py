@@ -10,7 +10,7 @@ Two complementary simulators are provided:
   analytically.  This is the engine behind the paper-scale experiments
   (Figures 4 and 5): CLASH's decisions happen at exactly this granularity, so
   the protocol code paths exercised are identical while a 6-hour, 1000-server,
-  100,000-client run stays tractable in Python (see DESIGN.md §2).
+  100,000-client run stays tractable in Python.
 
 :class:`~repro.sim.metrics.MetricsRecorder` collects the per-period series
 both figures plot (max/average server load, active servers, tree depth,

@@ -7,7 +7,7 @@ is simply ``total_rate × P(group)`` where ``P(group)`` is the workload's
 prefix probability.  The same holds for the expected number of stored queries.
 Using expectations at LOAD_CHECK_PERIOD granularity reproduces the load values
 the paper's servers compute (they too aggregate over the measurement interval)
-while keeping a 6-hour, 1000-server run tractable (see DESIGN.md §2).
+while keeping a 6-hour, 1000-server run tractable.
 """
 
 from __future__ import annotations

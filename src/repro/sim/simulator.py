@@ -61,8 +61,7 @@ class SimulationParams:
     packets, Lq = 30 minutes and a 6-hour scenario; :meth:`paper_scale`
     returns exactly that.  The default values are a scaled-down configuration;
     to preserve the per-server load levels the server capacity must be scaled
-    with it, which :func:`repro.experiments.runner.scaled_setup` does —
-    see DESIGN.md §2 for the substitution rationale.
+    with it, which :func:`repro.experiments.runner.scaled_setup` does.
 
     Attributes:
         server_count: Number of peer servers in the overlay.

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from repro.keys.hashing import HashFamily, Sha1HashFunction, truncate_hash
+from repro.keys.hashing import Sha1HashFunction, truncate_hash
 from repro.keys.identifier import IdentifierKey
 
 
@@ -77,26 +77,3 @@ class TestSha1HashFunction:
         function = Sha1HashFunction(hash_bits=24, salt=3)
         assert function.hash_bits == 24
         assert function.salt == 3
-
-
-class TestHashFamily:
-    def test_family_size(self):
-        family = HashFamily(hash_bits=24, count=4)
-        assert len(family) == 4
-
-    def test_members_are_independent(self):
-        family = HashFamily(hash_bits=24, count=3)
-        key = IdentifierKey(value=4242, width=24)
-        values = family.hash_key_all(key)
-        assert len(values) == 3
-        assert len(set(values)) == 3
-
-    def test_indexing_and_iteration(self):
-        family = HashFamily(hash_bits=16, count=2)
-        assert family[0].salt == 0
-        assert family[1].salt == 1
-        assert [function.salt for function in family] == [0, 1]
-
-    def test_requires_positive_count(self):
-        with pytest.raises(ValueError):
-            HashFamily(hash_bits=16, count=0)
