@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures, or measures
-one mechanism behind them (the split-policy ablation, a Chord lookup, a
+one mechanism behind them (a Chord lookup, a split or merge, a
 transport); docs/PERFORMANCE.md describes the gated ones.  The heavyweight
 simulations are run once per benchmark (``benchmark.pedantic`` with a single
 round) — the interesting output is the regenerated figure data, which each

@@ -7,12 +7,16 @@ acceptable average utilisation but catastrophic hotspots under skew, large x
 gives near-uniform load but spreads the work so thinly that server utilisation
 collapses and every server is dragged into the application.
 
-For small ``x`` the :class:`~repro.sim.simulator.FlowSimulator` can run the
-baseline directly (``fixed_depth=x``); this module provides an equivalent but
-vectorised simulator that stays fast up to ``x = 24`` by enumerating the
-partition at ``min(x, max_enumeration_depth)`` — beyond the enumeration depth
-the extra uniform splitting only smooths per-server totals, so expectations
-are unchanged (the approximation is documented in EXPERIMENTS.md).
+The simulator is vectorised and stays fast up to ``x = 24`` by enumerating
+the partition at depth ``min(x, ENUMERATION_DEPTH)`` only.  For
+``x > ENUMERATION_DEPTH`` that is an approximation: each enumerated group
+stands for its ``2**(x - ENUMERATION_DEPTH)`` descendants and is charged whole
+to the server its own virtual key hashes to.  The workloads spread load
+uniformly below ``base_bits`` (8 in the paper), and every descendant's
+virtual key would hash to a uniformly random server as well, so each server's
+expected load is unchanged; placing the descendants separately would only
+smooth the per-server totals (a lower spread, so a slightly lower maximum).
+The depth, group count and message rate reported are those of ``x`` itself.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from repro.workload.scenario import PhasedScenario
 
 __all__ = ["FixedDepthDhtSimulator"]
 
-DEFAULT_MAX_ENUMERATION_DEPTH = 16
+ENUMERATION_DEPTH = 16
+"""The deepest partition the simulator enumerates (``2**16`` groups)."""
 
 
 @dataclass
@@ -55,8 +60,6 @@ class FixedDepthDhtSimulator:
             are directly comparable).
         scenario: Workload schedule.
         fixed_depth: The fixed identifier-key length ``x``.
-        max_enumeration_depth: Cap on the enumerated partition depth (see the
-            module docstring).
     """
 
     def __init__(
@@ -65,7 +68,6 @@ class FixedDepthDhtSimulator:
         params: SimulationParams,
         scenario: PhasedScenario,
         fixed_depth: int,
-        max_enumeration_depth: int = DEFAULT_MAX_ENUMERATION_DEPTH,
     ) -> None:
         check_type("config", config, ClashConfig)
         check_type("params", params, SimulationParams)
@@ -75,12 +77,11 @@ class FixedDepthDhtSimulator:
             raise ValueError(
                 f"fixed_depth must not exceed key_bits ({config.key_bits}), got {fixed_depth}"
             )
-        check_positive("max_enumeration_depth", max_enumeration_depth)
         self._config = config
         self._params = params
         self._scenario = scenario
         self._fixed_depth = fixed_depth
-        self._enumeration_depth = min(fixed_depth, max_enumeration_depth)
+        self._enumeration_depth = min(fixed_depth, ENUMERATION_DEPTH)
         seeds = SeedSequenceFactory(params.seed)
         self._ring = ChordRing(space=HashSpace(bits=config.hash_bits))
         ring_rng = seeds.stream("ring")

@@ -29,14 +29,6 @@ from repro.core.messages import (
     ReleaseKeyGroup,
     ReplyStatus,
 )
-from repro.core.policy import (
-    CoolestGroupMergePolicy,
-    HottestGroupSplitPolicy,
-    MergePolicy,
-    RandomGroupSplitPolicy,
-    RoundRobinSplitPolicy,
-    SplitPolicy,
-)
 from repro.core.protocol import ClashSystem, SplitOutcome
 from repro.core.server import ClashServer, GroupLoad
 from repro.core.server_table import ServerTable, ServerTableEntry
@@ -59,12 +51,6 @@ __all__ = [
     "ReplyStatus",
     "MessageCategory",
     "MessageStats",
-    "SplitPolicy",
-    "MergePolicy",
-    "HottestGroupSplitPolicy",
-    "RandomGroupSplitPolicy",
-    "RoundRobinSplitPolicy",
-    "CoolestGroupMergePolicy",
     "build_split_tree",
     "render_split_tree",
     "render_server_table",

@@ -41,9 +41,6 @@ class ClashConfig:
             load values are reported as a percentage of this capacity.
         load_check_period: Seconds between load checks (LOAD_CHECK_PERIOD,
             5 minutes in the paper).
-        split_retry_limit: Bound on the number of extra depth increases a
-            server attempts when the DHT maps a right-child group back to the
-            splitting server itself.
         count_routing_hops: If True, message accounting charges every DHT
             forwarding hop; if False only end-to-end request/reply pairs are
             charged.  The paper is ambiguous on this point, so both modes are
@@ -62,7 +59,6 @@ class ClashConfig:
     underload_threshold: float = 0.54
     server_capacity: float = 4000.0
     load_check_period: float = 300.0
-    split_retry_limit: int = 8
     count_routing_hops: bool = False
     data_rate_weight: float = 1.0
     query_load_weight: float = 10.0
@@ -101,8 +97,6 @@ class ClashConfig:
             )
         check_positive("server_capacity", self.server_capacity)
         check_positive("load_check_period", self.load_check_period)
-        check_type("split_retry_limit", self.split_retry_limit, int)
-        check_positive("split_retry_limit", self.split_retry_limit)
         check_positive("data_rate_weight", self.data_rate_weight)
         if self.query_load_weight < 0:
             raise ValueError(

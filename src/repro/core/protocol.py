@@ -42,7 +42,6 @@ from repro.core.messages import (
     MessageStats,
     ReleaseKeyGroup,
 )
-from repro.core.policy import MergePolicy, SplitPolicy
 from repro.core.server import ClashServer
 from repro.core.server_table import SELF_PARENT
 from repro.dht.hashspace import HashSpace
@@ -63,6 +62,10 @@ RING_POSITION_MEMO_LIMIT = 1 << 16
 """Entries kept in each of a deployment's two virtual-key memos — ring
 positions and probe addresses — before it is cleared (correctness never
 depends on a hit: a miss re-hashes the virtual key or rebuilds the address)."""
+
+SPLIT_RETRY_LIMIT = 8
+"""Depth increases one split attempts while the DHT keeps mapping the right
+child back to the splitting server itself (each leaves a local split)."""
 
 
 @dataclass(frozen=True)
@@ -154,10 +157,6 @@ class ClashSystem:
         rng: Random stream used for node placement on the ring (``None``
             derives node ids from names by hashing, which is also valid Chord
             behaviour).
-        split_policy_factory: Optional callable producing a per-server split
-            policy (ablation hook).
-        merge_policy_factory: Optional callable producing a per-server merge
-            policy (ablation hook).
         transport: The transport every inter-node envelope travels through
             (defaults to a fresh :class:`~repro.net.inline.InlineTransport`,
             which preserves direct synchronous dispatch).
@@ -177,8 +176,6 @@ class ClashSystem:
         config: ClashConfig,
         server_names: list[str],
         rng: RandomStream | None = None,
-        split_policy_factory=None,
-        merge_policy_factory=None,
         transport: Transport | None = None,
         shards: int = 1,
     ) -> None:
@@ -201,8 +198,6 @@ class ClashSystem:
                 "every shard needs at least one server"
             )
         self._config = config
-        self._split_policy_factory = split_policy_factory
-        self._merge_policy_factory = merge_policy_factory
         self._space = HashSpace(bits=config.hash_bits)
         self._router = build_router(shards, space=self._space, key_bits=config.key_bits)
         used_ids: set[int] = set()
@@ -301,19 +296,8 @@ class ClashSystem:
             )
 
     def _make_server(self, name: str) -> ClashServer:
-        """Construct one server with this deployment's policy factories."""
-        split_policy: SplitPolicy | None = (
-            self._split_policy_factory() if self._split_policy_factory else None
-        )
-        merge_policy: MergePolicy | None = (
-            self._merge_policy_factory() if self._merge_policy_factory else None
-        )
-        server = ClashServer(
-            name=name,
-            config=self._config,
-            split_policy=split_policy,
-            merge_policy=merge_policy,
-        )
+        """Construct one server wired to this deployment's load tracking."""
+        server = ClashServer(name=name, config=self._config)
         server.set_load_listener(self._mark_server_load_dirty)
         return server
 
@@ -638,28 +622,19 @@ class ClashSystem:
     # Bootstrap
     # ------------------------------------------------------------------ #
 
-    def bootstrap(self, initial_depth: int | None = None) -> None:
+    def bootstrap(self) -> None:
         """Partition the key space into root groups and assign them via the DHT.
 
-        Every depth-``initial_depth`` key group is assigned to the server the
-        DHT maps its virtual key to; those assignments become root ServerTable
-        entries (ParentID = −1), which consolidation never collapses past.
+        Every depth-``config.initial_depth`` key group is assigned to the
+        server the DHT maps its virtual key to; those assignments become root
+        ServerTable entries (ParentID = −1), which consolidation never
+        collapses past.  The depth needs no check here:
+        :class:`~repro.core.config.ClashConfig` bounds it by ``min_depth`` and
+        ``key_bits``, and the constructor by the shard prefix bits.
         """
         if self._bootstrapped:
             raise RuntimeError("the system has already been bootstrapped")
-        depth = initial_depth if initial_depth is not None else self._config.initial_depth
-        if not self._config.min_depth <= depth <= self._config.key_bits:
-            raise ValueError(
-                f"initial depth must be in [{self._config.min_depth}, "
-                f"{self._config.key_bits}], got {depth}"
-            )
-        shard_bits = self._router.shard_count.bit_length() - 1
-        if shard_bits > depth:
-            raise ValueError(
-                f"cannot bootstrap at depth {depth} with {self._router.shard_count} "
-                f"shards: root groups must be at least {shard_bits} deep to be "
-                "shard-local"
-            )
+        depth = self._config.initial_depth
         for prefix in range(1 << depth):
             group = KeyGroup(prefix=prefix, depth=depth, width=self._config.key_bits)
             owner = self._router.owner_of_key(group.virtual_key)
@@ -781,7 +756,7 @@ class ClashSystem:
         the right child's owner, and transfer responsibility with
         ``ACCEPT_KEYGROUP``.  If the DHT maps the right child back to the
         splitting server, the depth is increased again (bounded by
-        ``split_retry_limit``); each such self-collision leaves an extra local
+        ``SPLIT_RETRY_LIMIT``); each such self-collision leaves an extra local
         split behind, exactly as the paper describes.
 
         Returns ``None`` when the server has nothing left to split.
@@ -792,7 +767,7 @@ class ClashSystem:
             return None
         self_collisions = 0
         current = group
-        for _attempt in range(self._config.split_retry_limit):
+        for _attempt in range(SPLIT_RETRY_LIMIT):
             left, right = current.split()
             child_owner, hops = self._transport.resolve(right.virtual_key)
             if self._config.count_routing_hops:

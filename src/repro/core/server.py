@@ -7,8 +7,8 @@ server side of Section 5 of the paper:
 
 * the three-case ``ACCEPT_OBJECT`` handler,
 * mandatory acceptance of ``ACCEPT_KEYGROUP`` transfers,
-* selection of a group to shed when overloaded (pluggable policy, the paper
-  uses "hottest"),
+* selection of a group to shed when overloaded (the paper's "hottest"
+  group) and of a cold group to consolidate (the coldest),
 * bottom-up consolidation bookkeeping (load reports from children, merge when
   both children of an inactive entry are cold).
 
@@ -32,12 +32,6 @@ from repro.core.messages import (
     LoadReport,
     ReleaseKeyGroup,
     ReplyStatus,
-)
-from repro.core.policy import (
-    CoolestGroupMergePolicy,
-    HottestGroupSplitPolicy,
-    MergePolicy,
-    SplitPolicy,
 )
 from repro.core.server_table import SELF_PARENT, ServerTable, ServerTableEntry
 from repro.keys.keygroup import KeyGroup
@@ -68,19 +62,9 @@ class ClashServer:
     Args:
         name: The server's name (also its identity on the Chord ring).
         config: Protocol configuration.
-        split_policy: How to choose the group to shed when overloaded
-            (defaults to the paper's hottest-group policy).
-        merge_policy: How to choose the group to consolidate when under-loaded
-            (defaults to the paper's coldest-group policy).
     """
 
-    def __init__(
-        self,
-        name: str,
-        config: ClashConfig,
-        split_policy: SplitPolicy | None = None,
-        merge_policy: MergePolicy | None = None,
-    ) -> None:
+    def __init__(self, name: str, config: ClashConfig) -> None:
         if not name:
             raise ValueError("server name must be non-empty")
         self._name = name
@@ -98,8 +82,6 @@ class ClashServer:
         self._unmeasured: set[KeyGroup] = set()
         # ACCEPT_OBJECT replies by (status, depth): at most 3 × (key_bits + 1).
         self._replies: dict[tuple[ReplyStatus, int], AcceptObjectReply] = {}
-        self._split_policy = split_policy or HottestGroupSplitPolicy()
-        self._merge_policy = merge_policy or CoolestGroupMergePolicy()
         self.splits_performed = 0
         self.merges_performed = 0
         # Per-interval load cache.  The load check asks for total_load() /
@@ -396,11 +378,20 @@ class ClashServer:
     # ------------------------------------------------------------------ #
 
     def choose_group_to_split(self) -> KeyGroup | None:
-        """Pick the group to shed according to the split policy."""
-        loads = {group: info.load for group, info in self._current_loads().items()}
-        if not loads:
-            return None
-        return self._split_policy.select(loads, self._config.effective_max_depth)
+        """Pick the group to shed: the hottest one that can still split.
+
+        The paper leaves this choice outside the protocol; its implementation
+        (Section 6) splits the group with the highest recent load.  Ties go
+        to the group that sorts last, so table order never decides.
+        Returns ``None`` when no group can be split further.
+        """
+        max_depth = self._config.effective_max_depth
+        candidates = [
+            (info.load, group)
+            for group, info in self._current_loads().items()
+            if group.depth < max_depth
+        ]
+        return max(candidates)[1] if candidates else None
 
     def perform_split(
         self, group: KeyGroup, right_child_server: str
@@ -462,13 +453,20 @@ class ClashServer:
     # ------------------------------------------------------------------ #
 
     def choose_group_to_consolidate(self) -> KeyGroup | None:
-        """Pick the cold leaf group to report to its parent (merge policy)."""
-        loads = {group: info.load for group, info in self._current_loads().items()}
-        if not loads:
-            return None
-        return self._merge_policy.select(
-            loads, cold_threshold=0.5 * self._config.underload_load, min_depth=self._config.min_depth
-        )
+        """Pick the cold leaf group to report to its parent: the coldest one.
+
+        Only groups deeper than ``min_depth`` (root groups never merge) whose
+        load is at most half the underload threshold qualify; ties go to the
+        group that sorts first.  Returns ``None`` when nothing is cold.
+        """
+        cold = 0.5 * self._config.underload_load
+        min_depth = self._config.min_depth
+        candidates = [
+            (info.load, group)
+            for group, info in self._current_loads().items()
+            if group.depth > min_depth and info.load <= cold
+        ]
+        return min(candidates)[1] if candidates else None
 
     def build_load_reports(self) -> list[LoadReport]:
         """Load reports for every active leaf group whose parent lives elsewhere.

@@ -61,7 +61,8 @@ def run_figure1_figure2(seed: int = 20040324, server_count: int = 24) -> Figure1
         server.set_group_rate(group, 2.0 * config.server_capacity)
         outcome = system.split_server(owner)
         if outcome is None or outcome.group != group:
-            # The policy picked another (equally loaded) group; retry directly.
+            # The hottest-group rule picked another (equally loaded) group;
+            # retry directly.
             server.reset_interval()
             server.set_group_rate(group, 4.0 * config.server_capacity)
             for other in server.active_groups():

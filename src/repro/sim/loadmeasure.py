@@ -33,9 +33,9 @@ _BASE_PROBABILITIES: "weakref.WeakKeyDictionary[WorkloadSpec, tuple[float, ...]]
 def shared_prefix_cache(spec: WorkloadSpec) -> dict[tuple[int, int], float]:
     """The (prefix, depth) → probability cache shared by all measures of ``spec``.
 
-    A workload's prefix probabilities depend only on the spec, so a
-    fixed-depth baseline and a CLASH run over the same workload (or several
-    measures across scenario phases) warm one cache instead of one each.  The
+    A workload's prefix probabilities depend only on the spec, so successive
+    runs over the same workload in one process (a benchmark's rounds, say)
+    warm one cache instead of one each.  The
     registry is weakly keyed: the cache lives exactly as long as an equal
     spec does.
     """

@@ -28,7 +28,8 @@ class PeriodSample:
         active_servers: Number of servers managing at least one key group
             with non-zero load.
         min_depth, avg_depth, max_depth: Depth statistics of the active key
-            groups (CLASH only; fixed-depth baselines report their constant).
+            groups (``FixedDepthDhtSimulator`` reports its constant ``x``
+            for all three).
         splits, merges: Number of splits / consolidations performed during
             the period.
         messages_per_server_per_second: CLASH signalling messages per server

@@ -17,9 +17,8 @@ Each period it:
    redirected by splits or merges re-resolve their keys,
 5. records a :class:`~repro.sim.metrics.PeriodSample`.
 
-The same class also runs the *fixed-depth* baseline (``DHT(x)``): the key
-space is partitioned once at depth ``x`` and no splits or merges ever happen,
-which is exactly the paper's non-adaptive comparison.
+The paper's non-adaptive comparison, ``DHT(x)``, is simulated by
+:class:`~repro.baselines.fixed_depth.FixedDepthDhtSimulator`.
 """
 
 from __future__ import annotations
@@ -58,10 +57,11 @@ class SimulationParams:
 
     The paper's full-scale configuration is 1000 servers, 100,000 data-source
     client nodes (plus 50,000 query clients in Figure 5's case B), Ld = 1000
-    packets, Lq = 30 minutes and a 6-hour scenario; :meth:`paper_scale`
-    returns exactly that.  The default values are a scaled-down configuration;
-    to preserve the per-server load levels the server capacity must be scaled
-    with it, which :func:`repro.experiments.runner.scaled_setup` does.
+    packets, Lq = 30 minutes and a 6-hour scenario.  The default values are a
+    scaled-down configuration; to preserve the per-server load levels the
+    server capacity must be scaled with it.
+    :class:`~repro.experiments.runner.ExperimentScale` (``paper()`` and
+    ``scaled(factor)``) builds consistent (config, params) pairs.
 
     Attributes:
         server_count: Number of peer servers in the overlay.
@@ -77,8 +77,6 @@ class SimulationParams:
             iterations per period — a backstop: the loop ends on the first
             check that neither splits nor merges, and a period that ends on
             the bound instead is counted in ``notes["balance_cap_hits"]``.
-        max_splits_per_server_per_iteration: Splits one server may perform in
-            a single load-check pass.
         transport: Which transport carries protocol messages — one of
             :data:`repro.net.TRANSPORT_KINDS`: ``"inline"`` (synchronous, the
             seed semantics), ``"event"`` (event-kernel delivery with
@@ -124,7 +122,6 @@ verify_invariants` after every membership event and at every period
     seed: int = 20040324
     lookup_sample_size: int = 40
     max_balance_iterations: int = 30
-    max_splits_per_server_per_iteration: int = 1
     transport: str = "inline"
     link_latency: float = 0.0
     latency_jitter: float = 0.0
@@ -155,9 +152,6 @@ verify_invariants` after every membership event and at every period
         check_type("lookup_sample_size", self.lookup_sample_size, int)
         check_positive("lookup_sample_size", self.lookup_sample_size)
         check_positive("max_balance_iterations", self.max_balance_iterations)
-        check_positive(
-            "max_splits_per_server_per_iteration", self.max_splits_per_server_per_iteration
-        )
         if self.transport not in TRANSPORT_KINDS:
             raise ValueError(
                 f"transport must be one of {', '.join(TRANSPORT_KINDS)}, "
@@ -190,35 +184,6 @@ verify_invariants` after every membership event and at every period
                 "an adaptive partition needs shards > 1; a single ring has "
                 "no shard boundaries to move"
             )
-
-    @classmethod
-    def paper_scale(cls, query_clients: bool = False, mean_stream_length: float = 1000.0) -> "SimulationParams":
-        """The full Section 6.1 configuration (slow: minutes of wall-clock time)."""
-        return cls(
-            server_count=1000,
-            source_count=100_000,
-            query_client_count=50_000 if query_clients else 0,
-            mean_stream_length=mean_stream_length,
-        )
-
-    @classmethod
-    def scaled(cls, factor: int = 10, query_clients: bool = False, **overrides) -> "SimulationParams":
-        """A configuration scaled down by ``factor`` from the paper scale.
-
-        Server count, source count and query-client count shrink together.
-        Per-server *load levels* are only preserved if the server capacity in
-        :class:`~repro.core.config.ClashConfig` is scaled by the same factor;
-        :func:`repro.experiments.runner.scaled_setup` builds a consistent
-        (config, params) pair.
-        """
-        check_positive("factor", factor)
-        params = {
-            "server_count": max(10, 1000 // factor),
-            "source_count": max(200, 100_000 // factor),
-            "query_client_count": (max(100, 50_000 // factor) if query_clients else 0),
-        }
-        params.update(overrides)
-        return cls(**params)
 
 
 @dataclass
@@ -268,15 +233,12 @@ class SimulationResult:
 
 
 class FlowSimulator:
-    """Simulate a CLASH (or fixed-depth DHT) deployment over a phased scenario.
+    """Simulate a CLASH deployment over a phased scenario.
 
     Args:
         config: Protocol configuration.
         params: Scale parameters.
         scenario: The workload schedule (defaults to the paper's A → B → C).
-        fixed_depth: When set, run the non-adaptive baseline ``DHT(fixed_depth)``
-            instead of CLASH — the key space is partitioned once at that depth
-            and load checks are disabled.
         schedule: A recorded :class:`~repro.net.replay.ReplaySchedule` to
             force this run onto.  Its tie tape drives the ``replay`` transport
             and, when :attr:`~repro.net.replay.ReplaySchedule.churn` is set,
@@ -291,24 +253,12 @@ class FlowSimulator:
         config: ClashConfig,
         params: SimulationParams,
         scenario: PhasedScenario,
-        fixed_depth: int | None = None,
         schedule: ReplaySchedule | None = None,
     ) -> None:
         check_type("config", config, ClashConfig)
         check_type("params", params, SimulationParams)
         self._params = params
         self._scenario = scenario
-        self._fixed_depth = fixed_depth
-        if fixed_depth is not None:
-            if not 1 <= fixed_depth <= config.key_bits:
-                raise ValueError(
-                    f"fixed_depth must be in [1, {config.key_bits}], got {fixed_depth}"
-                )
-            # A fixed-depth run bootstraps at that depth and never adapts.
-            bootstrap_depth = min(fixed_depth, 16)
-            config = config.with_overrides(
-                initial_depth=bootstrap_depth, min_depth=min(config.min_depth, bootstrap_depth)
-            )
         self._config = config
         seeds = SeedSequenceFactory(params.seed)
         # The delivery-order axis is independently seedable: the fuzzer
@@ -338,11 +288,9 @@ class FlowSimulator:
             config,
             server_count=params.server_count,
             rng=seeds.stream("ring"),
-            bootstrap=False,
             transport=self._transport,
             shards=params.shards,
         )
-        self._system.bootstrap(config.initial_depth)
         self._churn_rng = seeds.stream("churn")
         # Poisson-arrival churn within phases.  Joins and failures draw from
         # their own named streams so enabling one never perturbs the other
@@ -375,10 +323,6 @@ class FlowSimulator:
         self._period_failures = 0
         self._period_reassigned = 0
         self._dropped_seen = 0
-        #: When True, every membership event is followed by a full
-        #: ClashSystem.verify_invariants() pass (``params.verify_invariants``
-        #: sets it; the churn test suites also flip it directly).
-        self.verify_after_membership = params.verify_invariants
         #: When True, every *executed* Poisson membership event is appended
         #: to :attr:`churn_log` as a replayable ChurnEvent with its drawn
         #: name/node id pinned (the fuzz harness turns this on).
@@ -462,10 +406,8 @@ class FlowSimulator:
 
     @property
     def label(self) -> str:
-        """The run's label (CLASH, or DHT(x) for fixed-depth baselines)."""
-        if self._fixed_depth is None:
-            return "CLASH"
-        return f"DHT({self._fixed_depth})"
+        """The run's label, ``"CLASH"`` (the baselines label ``"DHT(x)"``)."""
+        return "CLASH"
 
     def set_oracles(self, invariant=None, sample=None) -> None:
         """Install fuzz-oracle callbacks fired at quiescent points.
@@ -632,7 +574,7 @@ class FlowSimulator:
                 names.remove(victim)
                 self._period_failures += 1
                 self._period_reassigned += len(reassigned)
-                if self.verify_after_membership:
+                if self._params.verify_invariants:
                     self._system.verify_invariants()
                 self._check_invariant_oracle()
         self._schedule_poisson_churn(phase, self._scenario.phase_boundaries()[index])
@@ -810,7 +752,7 @@ class FlowSimulator:
                 self.churn_log.append(
                     ChurnEvent(when=when, kind="fail", server=victim, node_id=None)
                 )
-        if self.verify_after_membership:
+        if self._params.verify_invariants:
             self._system.verify_invariants()
         self._check_invariant_oracle()
 
@@ -881,7 +823,7 @@ class FlowSimulator:
                     boundaries=new_map.boundaries,
                 )
             )
-        if self.verify_after_membership:
+        if self._params.verify_invariants:
             self._system.verify_invariants()
         self._check_invariant_oracle()
 
@@ -894,18 +836,15 @@ class FlowSimulator:
 
         Returns ``(splits, merges, redirected_sources, migrated_queries)``.
         """
-        if self._fixed_depth is not None:
-            self._sync_assignments(measure)
-            return 0, 0, 0.0, 0.0
         splits = 0
         merges = 0
         redirected = 0.0
         migrated_queries = 0.0
         for _iteration in range(self._params.max_balance_iterations):
             self._sync_assignments(measure)
-            report = self._system.run_load_check(
-                max_splits_per_server=self._params.max_splits_per_server_per_iteration
-            )
+            # One split per overloaded server per check: the next check sees
+            # the load that split left behind.
+            report = self._system.run_load_check(max_splits_per_server=1)
             self._balance_iterations += 1
             self._pending_dirty |= report.touched_groups
             self._pending_retired.extend(report.retired_assignments)

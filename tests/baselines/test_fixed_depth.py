@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.fixed_depth import FixedDepthDhtSimulator
+from repro.baselines.fixed_depth import ENUMERATION_DEPTH, FixedDepthDhtSimulator
 from repro.core.config import ClashConfig
 from repro.sim.simulator import SimulationParams
 from repro.workload.scenario import paper_scenario
@@ -27,10 +27,9 @@ def run(depth: int, **param_overrides):
 class TestPartition:
     def test_enumeration_capped(self):
         simulator = FixedDepthDhtSimulator(
-            config=CONFIG, params=PARAMS, scenario=SCENARIO, fixed_depth=24,
-            max_enumeration_depth=10,
+            config=CONFIG, params=PARAMS, scenario=SCENARIO, fixed_depth=24
         )
-        assert simulator.enumeration_depth == 10
+        assert simulator.enumeration_depth == ENUMERATION_DEPTH == 16
 
     def test_enumeration_matches_depth_when_small(self):
         simulator = FixedDepthDhtSimulator(

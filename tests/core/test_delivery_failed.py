@@ -202,9 +202,10 @@ class TestEndToEndChurnWithLatency:
             ]
         )
         simulator = FlowSimulator(
-            config=scale.config(), params=scale.params(), scenario=scenario
+            config=scale.config(),
+            params=scale.params(verify_invariants=True),
+            scenario=scenario,
         )
-        simulator.verify_after_membership = True
         result = simulator.run()
         simulator.system.verify_invariants()
         samples = result.metrics.samples
@@ -222,9 +223,10 @@ class TestEndToEndChurnWithLatency:
             scale, transport="async", link_latency=2.0, join_rate=0.02, fail_rate=0.02
         )
         simulator = FlowSimulator(
-            config=scale.config(), params=scale.params(), scenario=scale.scenario()
+            config=scale.config(),
+            params=scale.params(verify_invariants=True),
+            scenario=scale.scenario(),
         )
-        simulator.verify_after_membership = True
         try:
             result = simulator.run()
             simulator.system.verify_invariants()

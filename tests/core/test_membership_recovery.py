@@ -11,7 +11,9 @@ body is replaced by ``raise``:
 
 * ``_hand_over``'s release to a dead former owner;
 * ``_hand_over``'s transfer to a dead receiver (restart as a root);
-* ``handle_server_failure``'s re-issue to a dead new owner.
+* ``handle_server_failure``'s re-issue to a dead new owner;
+* ``consolidate_server``'s put-back to a child that died after releasing
+  (restart as a root).
 
 Three more tests kill a former owner that still has movers queued behind the
 failed one, in a join and in a partition rebalance: its failure recovery
@@ -24,6 +26,7 @@ from __future__ import annotations
 import copy
 from collections.abc import Callable
 
+from repro.app.query_store import Query
 from repro.core.config import ClashConfig
 from repro.core.messages import AcceptKeyGroup, MessageCategory, ReleaseKeyGroup
 from repro.core.protocol import ClashSystem
@@ -43,7 +46,8 @@ class FailNthRequest:
     Disarmed it forwards everything to ``inner``.  Once armed, requests for
     which ``selects`` is true are counted; the ``n``-th runs ``kill`` on its
     envelope (the destination dies with the request in flight) and raises
-    :class:`DeliveryFailed` instead of being delivered.
+    :class:`DeliveryFailed` instead of being delivered.  :meth:`before`
+    stages a concurrent change that lands while an earlier request travels.
     """
 
     def __init__(self, inner: Transport) -> None:
@@ -51,6 +55,7 @@ class FailNthRequest:
         self._n = 0
         self._selects: Callable[[Envelope], bool] = lambda envelope: False
         self._kill: Callable[[Envelope], None] = lambda envelope: None
+        self._before: tuple[Callable[[Envelope], bool], Callable[[], None]] | None = None
         self.selected = 0
         self.failed: list[Envelope] = []
 
@@ -58,10 +63,19 @@ class FailNthRequest:
         self._n, self._selects, self._kill = n, selects, kill
         self.selected = 0
 
+    def before(self, selects, change) -> None:
+        """Run ``change()`` once, just before the first request ``selects``
+        picks is delivered (that request itself is delivered normally)."""
+        self._before = (selects, change)
+
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
 
     def request(self, envelope: Envelope):
+        if self._before is not None and self._before[0](envelope):
+            change = self._before[1]
+            self._before = None
+            change()
         if self._selects(envelope):
             self.selected += 1
             if self.selected == self._n:
@@ -305,3 +319,57 @@ def test_a_failure_under_a_new_partition_map_links_no_orphan_across_shards():
     """The dead owner's orphans now hash to the other shard: their recorded
     parents stay behind on the old one, so they restart as roots."""
     _rebalance_killing_the_first_former(cut_blocks=1).verify_invariants()
+
+
+def test_a_put_back_to_a_child_that_died_restarts_the_group_as_a_root():
+    system, transport = _system()
+    # Cool the deployment and let every child report, so parents see
+    # consolidation candidates.
+    for member in system.servers().values():
+        member.reset_interval()
+        for active in member.active_groups():
+            member.set_group_rate(active, 0.0)
+    system.exchange_load_reports()
+    parent = next(
+        name
+        for name in system.sorted_server_names()
+        if system.server(name).consolidation_candidates()
+    )
+    parent_group = system.server(parent).consolidation_candidates()[0]
+    left, right = parent_group.split()
+    child = system.server(parent).table.entry(parent_group).right_child_id
+    query = Query(query_id=1, key=right.virtual_key)
+    system.server(child).store_query(query)
+
+    def split_left() -> None:
+        # The parent's left child splits while the release travels, so the
+        # parent can no longer take the pair back and must return the right.
+        system.server(parent).set_group_rate(left, 3 * CONFIG.server_capacity)
+        assert system.split_server(parent).group == left
+
+    transport.before(
+        lambda envelope: isinstance(envelope.payload, ReleaseKeyGroup)
+        and envelope.payload.group == right,
+        split_left,
+    )
+    transport.arm(
+        1,
+        selects=lambda envelope: isinstance(envelope.payload, AcceptKeyGroup)
+        and envelope.payload.group == right,
+        kill=_kill(system),
+    )
+    merges = _merges(system)
+    outcomes = system.consolidate_server(parent)
+
+    assert [envelope.destination for envelope in transport.failed] == [child]
+    assert child not in system.servers()
+    assert all(outcome.parent_group != parent_group for outcome in outcomes)
+    # The released group and its query restarted as a root on whoever owns
+    # its key without the child.
+    owner = system.owner_of_group(right)
+    assert owner == system.router.owner_of_key(right.virtual_key)
+    assert system.server(owner).table.entry(right).is_root
+    assert query in system.server(owner).query_store.queries()
+    # The lost put-back charges the one request that was sent.
+    assert _merges(system) - merges == 1 + 2 * len(outcomes)
+    system.verify_invariants()

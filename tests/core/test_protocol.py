@@ -46,13 +46,6 @@ class TestBootstrap:
         with pytest.raises(RuntimeError):
             system.bootstrap()
 
-    def test_bootstrap_depth_validation(self):
-        system = ClashSystem.create(
-            ClashConfig.small_scale(), server_count=4, rng=RandomStream(1), bootstrap=False
-        )
-        with pytest.raises(ValueError):
-            system.bootstrap(initial_depth=0)
-
     def test_create_validation(self):
         with pytest.raises(ValueError):
             ClashSystem(ClashConfig.small_scale(), server_names=[])

@@ -254,6 +254,63 @@ class TestConsolidation:
         assert server.choose_group_to_consolidate() == group("010*")
 
 
+def loaded_server(loads: dict[str, float], config: ClashConfig = CONFIG) -> ClashServer:
+    """A server holding each group of ``loads`` as a root, at that data rate."""
+    instance = ClashServer(name="s0", config=config)
+    for pattern, rate in loads.items():
+        instance.assign_root_group(group(pattern))
+        instance.set_group_rate(group(pattern), rate)
+    return instance
+
+
+LOADS = {"000*": 10.0, "001*": 50.0, "01*": 30.0}
+
+
+class TestGroupChoice:
+    """The paper's selection rules: split the hottest, consolidate the coldest."""
+
+    def test_split_selects_highest_load(self):
+        assert loaded_server(LOADS).choose_group_to_split() == group("001*")
+
+    def test_split_respects_max_depth(self):
+        server = loaded_server({"00110011": 99.0, "01*": 1.0})
+        assert server.choose_group_to_split() == group("01*")
+
+    def test_split_none_when_nothing_splittable(self):
+        assert loaded_server({"00110011": 99.0}).choose_group_to_split() is None
+
+    def test_split_tie_goes_to_the_group_that_sorts_last(self):
+        ties = {"000*": 5.0, "111*": 5.0}
+        reversed_ties = dict(reversed(list(ties.items())))
+        expected = max(group("000*"), group("111*"))
+        assert loaded_server(ties).choose_group_to_split() == expected
+        assert loaded_server(reversed_ties).choose_group_to_split() == expected
+
+    def test_consolidate_selects_coldest_below_threshold(self):
+        # Cold means at most half the underload load: 0.5 * 54 = 27.
+        assert loaded_server(LOADS).choose_group_to_consolidate() == group("000*")
+
+    def test_consolidate_ignores_groups_at_min_depth(self):
+        server = loaded_server(
+            {"00*": 1.0, "010*": 2.0}, config=CONFIG.with_overrides(min_depth=2)
+        )
+        assert server.choose_group_to_consolidate() == group("010*")
+
+    def test_consolidate_none_when_nothing_cold(self):
+        server = loaded_server({"000*": 28.0, "001*": 50.0, "01*": 30.0})
+        assert server.choose_group_to_consolidate() is None
+
+    def test_consolidate_none_on_empty_table(self):
+        assert ClashServer(name="sx", config=CONFIG).choose_group_to_consolidate() is None
+
+    def test_consolidate_tie_goes_to_the_group_that_sorts_first(self):
+        ties = {"000*": 5.0, "111*": 5.0}
+        reversed_ties = dict(reversed(list(ties.items())))
+        expected = min(group("000*"), group("111*"))
+        assert loaded_server(ties).choose_group_to_consolidate() == expected
+        assert loaded_server(reversed_ties).choose_group_to_consolidate() == expected
+
+
 class TestUnmeasuredGroups:
     """A load report is a measurement; a group taken on since the last one has none."""
 

@@ -162,7 +162,7 @@ def run_flow(
     transport_kind: str,
     scale: ExperimentScale,
     scenario: PhasedScenario,
-    verify_membership: bool = False,
+    verify_invariants: bool = False,
     shards: int = 1,
     partition: str = "static",
 ) -> SimulationResult:
@@ -177,11 +177,13 @@ def run_flow(
     simulator = FlowSimulator(
         config=scale.config(),
         params=scale.params(
-            transport=transport_kind, shards=shards, partition=partition
+            transport=transport_kind,
+            shards=shards,
+            partition=partition,
+            verify_invariants=verify_invariants,
         ),
         scenario=scenario,
     )
-    simulator.verify_after_membership = verify_membership
     try:
         result = simulator.run()
         simulator.system.verify_invariants()

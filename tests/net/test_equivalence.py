@@ -55,7 +55,7 @@ def inline_reference(golden):
         for workload in REFERENCE_WORKLOADS
     }
     reference["churn"] = run_flow(
-        "inline", scale, churn_scenario(scale), verify_membership=True
+        "inline", scale, churn_scenario(scale), verify_invariants=True
     )
     return reference
 
@@ -96,7 +96,7 @@ class TestReferenceWorkloadEquivalence:
         clock-less transports: same membership events, same reassignments,
         same drops, same loads — sample for sample."""
         scale = reference_scale(golden)
-        result = run_flow(kind, scale, churn_scenario(scale), verify_membership=True)
+        result = run_flow(kind, scale, churn_scenario(scale), verify_invariants=True)
         churn_ref = inline_reference["churn"]
         assert sum(s.server_joins for s in churn_ref.metrics.samples) > 0
         assert sum(s.server_failures for s in churn_ref.metrics.samples) > 0

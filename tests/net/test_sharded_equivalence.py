@@ -15,7 +15,7 @@ Two contracts, parametrized over the :data:`repro.net.TRANSPORTS` registry:
   registered on exactly one shard (its owner lives on the shard owning its
   virtual key) and no consolidation linkage may cross shards —
   ``ClashSystem.verify_invariants`` enforces both for sharded deployments
-  and runs after every membership event via ``verify_after_membership``.
+  and runs after every membership event when ``verify_invariants`` is on.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ class TestSingleShardIsTheSeed:
         scale = reference_scale(golden)
         scenario = churn_scenario(scale)
         reference = run_flow(
-            "inline", scale, scenario, verify_membership=True, shards=1
+            "inline", scale, scenario, verify_invariants=True, shards=1
         )
-        result = run_flow(kind, scale, scenario, verify_membership=True, shards=1)
+        result = run_flow(kind, scale, scenario, verify_invariants=True, shards=1)
         assert_samples_bit_identical(result, reference)
 
 
@@ -92,12 +92,12 @@ class TestShardedChurnInvariants:
 
     @pytest.mark.parametrize("kind", ["inline", "async"])
     def test_churn_scenario_keeps_shard_invariants(self, kind, golden):
-        """verify_after_membership runs the full invariant battery — shard
+        """verify_invariants runs the full invariant battery — shard
         registration and parent-link locality included — after every join
         and failure of the churn scenario."""
         scale = reference_scale(golden)
         result = run_flow(
-            kind, scale, churn_scenario(scale), verify_membership=True, shards=4
+            kind, scale, churn_scenario(scale), verify_invariants=True, shards=4
         )
         samples = result.metrics.samples
         assert sum(s.server_joins for s in samples) > 0
@@ -118,10 +118,10 @@ class TestShardedChurnInvariants:
         scale = reference_scale(golden)
         scenario = churn_scenario(scale)
         reference = run_flow(
-            "inline", scale, scenario, verify_membership=True, shards=2
+            "inline", scale, scenario, verify_invariants=True, shards=2
         )
         for kind in [k for k in CHURN_KINDS if k != "inline"]:
-            result = run_flow(kind, scale, scenario, verify_membership=True, shards=2)
+            result = run_flow(kind, scale, scenario, verify_invariants=True, shards=2)
             assert_samples_bit_identical(result, reference)
 
 
@@ -149,13 +149,13 @@ class TestStaticPartitionIsTheGolden:
         scale = reference_scale(golden)
         scenario = churn_scenario(scale)
         reference = run_flow(
-            kind, scale, scenario, verify_membership=True, shards=4
+            kind, scale, scenario, verify_invariants=True, shards=4
         )
         result = run_flow(
             kind,
             scale,
             scenario,
-            verify_membership=True,
+            verify_invariants=True,
             shards=4,
             partition="static",
         )

@@ -28,9 +28,10 @@ def _run(transport: str, join_rate: float = 0.01, fail_rate: float = 0.01):
         CHURN_SCALE, transport=transport, join_rate=join_rate, fail_rate=fail_rate
     )
     simulator = FlowSimulator(
-        config=scale.config(), params=scale.params(), scenario=scale.scenario()
+        config=scale.config(),
+        params=scale.params(verify_invariants=True),
+        scenario=scale.scenario(),
     )
-    simulator.verify_after_membership = True
     result = simulator.run()
     simulator.system.verify_invariants()
     return simulator, result

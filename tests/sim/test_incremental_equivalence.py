@@ -209,9 +209,9 @@ def test_retired_assignments_name_every_deactivation_and_prune_stale_overrides()
 CONFIG = ClashConfig(server_capacity=40.0, load_check_period=300.0, query_load_weight=0.1)
 
 
-def _assert_identical_runs(scenario, params: SimulationParams, **kwargs) -> None:
-    incremental = FlowSimulator(CONFIG, params, scenario, **kwargs).run()
-    twin = NaiveAssignmentSimulator(CONFIG, params, scenario, **kwargs)
+def _assert_identical_runs(scenario, params: SimulationParams) -> None:
+    incremental = FlowSimulator(CONFIG, params, scenario).run()
+    twin = NaiveAssignmentSimulator(CONFIG, params, scenario)
     full = twin.run()
     # Production assigns from scratch once per workload phase; the twin on
     # every synchronisation, at least once per period.
@@ -271,19 +271,6 @@ def test_dirty_assignment_matches_under_churn():
         server_count=100, source_count=800, lookup_sample_size=8, seed=23
     )
     _assert_identical_runs(scenario, params)
-
-
-def test_dirty_assignment_matches_for_fixed_depth_baseline():
-    scenario = PhasedScenario(
-        [
-            ScenarioPhase(spec=workload_a(), duration=900.0),
-            ScenarioPhase(spec=workload_c(), duration=900.0),
-        ]
-    )
-    params = SimulationParams(
-        server_count=80, source_count=800, lookup_sample_size=8, seed=29
-    )
-    _assert_identical_runs(scenario, params, fixed_depth=6)
 
 
 @pytest.mark.parametrize(

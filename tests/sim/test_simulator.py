@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.fixed_depth import FixedDepthDhtSimulator
 from repro.core.config import ClashConfig
+from repro.experiments.runner import ExperimentScale
 from repro.sim.simulator import FlowSimulator, SimulationParams
 from repro.workload.scenario import PhasedScenario, ScenarioPhase, paper_scenario
 from repro.workload.distributions import workload_a, workload_c
@@ -39,7 +41,7 @@ def short_scenario(periods: int = 3) -> PhasedScenario:
 
 class TestSimulationParams:
     def test_paper_scale_matches_section_6_1(self):
-        params = SimulationParams.paper_scale(query_clients=True)
+        params = ExperimentScale.paper(query_clients=True).params()
         assert params.server_count == 1000
         assert params.source_count == 100_000
         assert params.query_client_count == 50_000
@@ -47,7 +49,7 @@ class TestSimulationParams:
         assert params.mean_query_lifetime == 1800.0
 
     def test_scaled_reduces_population(self):
-        params = SimulationParams.scaled(factor=10)
+        params = ExperimentScale.scaled(factor=10).params()
         assert params.source_count == 10_000
         assert params.query_client_count == 0
 
@@ -148,28 +150,12 @@ class TestTransportLifecycle:
         assert simulator.transport.closed
 
 
-class TestFixedDepthRuns:
-    def test_fixed_depth_never_splits(self):
-        simulator = FlowSimulator(
-            tiny_config(), tiny_params(), short_scenario(2), fixed_depth=6
-        )
-        result = simulator.run()
-        assert result.label == "DHT(6)"
-        assert result.total_splits == 0
-        assert result.total_merges == 0
-        assert all(sample.min_depth == 6.0 for sample in result.metrics.samples)
-
+class TestAgainstFixedDepth:
     def test_fixed_depth_suffers_under_skew(self):
         clash = FlowSimulator(tiny_config(), tiny_params(), short_scenario(2)).run()
-        fixed = FlowSimulator(
+        fixed = FixedDepthDhtSimulator(
             tiny_config(), tiny_params(), short_scenario(2), fixed_depth=6
         ).run()
         clash_c = [s for s in clash.phase_summaries() if s.workload == "C"][0]
         fixed_c = [s for s in fixed.phase_summaries() if s.workload == "C"][0]
         assert fixed_c.peak_max_load_percent > clash_c.peak_max_load_percent
-
-    def test_fixed_depth_validation(self):
-        with pytest.raises(ValueError):
-            FlowSimulator(tiny_config(), tiny_params(), short_scenario(1), fixed_depth=0)
-        with pytest.raises(ValueError):
-            FlowSimulator(tiny_config(), tiny_params(), short_scenario(1), fixed_depth=25)

@@ -22,31 +22,35 @@ def _simulator(scale: ExperimentScale, **param_overrides) -> FlowSimulator:
     )
 
 
+def _verifications_after_one_join(scale: ExperimentScale) -> int:
+    """How many invariant passes one Poisson join triggers."""
+    simulator = _simulator(scale)
+    calls = []
+    simulator.system.verify_invariants = lambda: calls.append(1)
+    try:
+        simulator._apply_churn_event("join", 0.0)
+    finally:
+        simulator.transport.close()
+    return len(calls)
+
+
 class TestParamsKnob:
     def test_default_off(self):
-        assert SimulationParams.scaled(factor=100).verify_invariants is False
+        assert SimulationParams().verify_invariants is False
 
     def test_validation(self):
         with pytest.raises(TypeError):
-            SimulationParams.scaled(factor=100, verify_invariants=1)
+            SimulationParams(verify_invariants=1)
         with pytest.raises(TypeError):
-            SimulationParams.scaled(factor=100, delivery_seed=1.5)
+            SimulationParams(delivery_seed=1.5)
         with pytest.raises(TypeError):
-            SimulationParams.scaled(factor=100, churn_seed="7")
+            SimulationParams(churn_seed="7")
 
     def test_knob_arms_membership_verification(self):
-        simulator = _simulator(_scale(verify_invariants=True))
-        try:
-            assert simulator.verify_after_membership is True
-        finally:
-            simulator.transport.close()
+        assert _verifications_after_one_join(_scale(verify_invariants=True)) == 1
 
     def test_knob_defaults_membership_verification_off(self):
-        simulator = _simulator(_scale())
-        try:
-            assert simulator.verify_after_membership is False
-        finally:
-            simulator.transport.close()
+        assert _verifications_after_one_join(_scale()) == 0
 
 
 class TestExperimentScaleThreading:
@@ -67,8 +71,8 @@ class TestExperimentScaleThreading:
 
 class TestIndependentSeedAxes:
     def test_delivery_seed_requires_no_master_seed_change(self):
-        base = SimulationParams.scaled(factor=100, seed=7)
-        varied = SimulationParams.scaled(factor=100, seed=7, delivery_seed=11)
+        base = SimulationParams(seed=7)
+        varied = SimulationParams(seed=7, delivery_seed=11)
         assert base.seed == varied.seed
         assert varied.delivery_seed == 11
 
